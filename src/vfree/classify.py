@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .counting import f_series
-from .errors import UnclassifiableShape, WrongRank
+from .errors import InconsistentReport, UnclassifiableShape, WrongRank
 from .gog import NormalizedGog, build_gog
 from .invariants import TypeVector, euler_char, free_rank, m_gamma, type_vector
 
@@ -282,8 +282,11 @@ def distinguish_rank1(a: ClassificationReport, b: ClassificationReport) -> bool:
     if a.rank != 1 or b.rank != 1:
         raise WrongRank(f"ranks {a.rank}, {b.rank} are not both 1")
     for rep in (a, b):
-        if rep.label is Label.R1_I:
-            assert all(z == 0 for z in rep.type_vector.zeta.values())
-        elif rep.label is Label.R1_II:
-            assert rep.type_vector.zeta[rep.type_vector.m] == -1
+        tv = rep.type_vector
+        if rep.label is Label.R1_I and any(tv.zeta.values()):
+            raise InconsistentReport(f"loop class with zeta {tv.zeta}")
+        if rep.label is Label.R1_II and tv.zeta[tv.m] != -1:
+            raise InconsistentReport(
+                f"amalgam class with zeta_{tv.m} = {tv.zeta[tv.m]}"
+            )
     return a.label is not b.label

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import counting, invariants, oracle
 from .classify import Label, classify, largeness_report
-from .errors import VfreeError
+from .errors import GogSyntaxError, VfreeError
 from .gog import parse_gog, parse_gog_structure, serialize_gog, validate
 from .graph import spanning_tree
 from .normalize import normalize
@@ -29,7 +29,13 @@ def _frac(x: Fraction) -> str:
 
 def _read(path: str) -> str:
     with open(path, encoding="utf-8") as fh:
-        return fh.read()
+        try:
+            # one whole-file read, so exc.start is the offset in the file
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise GogSyntaxError(
+                f"file is not valid UTF-8 at byte {exc.start}"
+            ) from None
 
 
 def cmd_validate(args) -> int:
@@ -366,6 +372,13 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"--terms must be in 1..{MAX_TERMS}")
     if args.command == "largeness" and args.prefix < 2:
         parser.error("--prefix must be at least 2")
+    # counts outgrow CPython's default 4300-digit int-to-str limit (f_50 of
+    # a 24-point datum already does). The limit is absent before 3.10.7 and
+    # is restored on return, so in-process callers keep their own.
+    saved = None
+    if hasattr(sys, "set_int_max_str_digits"):
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except OSError as exc:
@@ -374,6 +387,9 @@ def main(argv: list[str] | None = None) -> int:
     except VfreeError as exc:
         print(str(exc), file=sys.stderr)
         return 1
+    finally:
+        if saved is not None:
+            sys.set_int_max_str_digits(saved)
 
 
 if __name__ == "__main__":

@@ -7,20 +7,28 @@ sequences determine each other through the index-counting convolution
 
     sum_{u=0}^{l-1} g_u * f_{l-u} = m * l * g_l,   l >= 1,   g_0 = 1,
 
-which is how f_l is computed here. g_l itself has the closed product form
+which is how f_l is computed here. g_l is hypergeometric: write
+c_d = #{geometric edges of order d} - #{vertices of order d} for the net
+order multiplicities, so that
 
-    g_l = prod over geometric edges e of (l*m/|G_e|)! * |G_e|^(l*m/|G_e|)
-        / prod over vertices v       of (l*m/|G_v|)! * |G_v|^(l*m/|G_v|),
+    g_l = prod_d ((l*m/d)! * d^(l*m/d))^(c_d),
 
-a hypergeometric-type sequence: its generating function G(z) satisfies an
-order-mu linear ODE with integer coefficients theta_0..theta_mu computable
-from the type data alone. All arithmetic is exact; g_l is a Fraction and
-f_l an arbitrary-precision integer.
+and g is built from g_0 = 1 by the term ratio
+
+    g_l / g_{l-1} = prod_d (d^(m/d) * prod_{j=(l-1)m/d+1}^{l*m/d} j)^(c_d),
+
+one small exact Fraction per step, derived from the orders alone. Its
+generating function G(z) satisfies an order-mu linear ODE with integer
+coefficients theta_0..theta_mu computable from the type data alone;
+ode_check confirms g against that ODE independently of the ratio above.
+All arithmetic is exact; g_l is a Fraction and f_l an arbitrary-precision
+integer.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -60,25 +68,30 @@ class ThetaCoeffs:
 
 
 def g_series(gog: GraphOfGroups, N: int) -> list[Fraction]:
-    """g_0..g_N from the closed product form, exactly.
+    """g_0..g_N by the hypergeometric term ratio, exactly.
 
-    Independent of the orientation, since edge orders agree on {e, bar(e)}.
+    The ratio is read off the orders alone, never off theta_coeffs, so
+    that ode_check remains an independent test of the result. Independent
+    of the orientation, since edge orders agree on {e, bar(e)}.
     """
     check_valid(gog)
     m = m_gamma(gog)
-    edge_orders = [gog.edge_order[e] for e in gog.graph.orientation_reps()]
-    vertex_orders = list(gog.vertex_order.values())
-    out = []
-    for lam in range(N + 1):
-        num = 1
-        for s in edge_orders:
-            k = lam * m // s
-            num *= math.factorial(k) * s**k
-        den = 1
-        for n in vertex_orders:
-            k = lam * m // n
-            den *= math.factorial(k) * n**k
-        out.append(Fraction(num, den))
+    net = Counter(gog.edge_order[e] for e in gog.graph.orientation_reps())
+    net.subtract(gog.vertex_order.values())
+    # per order d with c_d != 0: (m/d, d^(m/d), c_d)
+    steps = [(m // d, d ** (m // d), c) for d, c in net.items() if c]
+    g = Fraction(1)
+    out = [g]
+    for lam in range(1, N + 1):
+        num = den = 1
+        for q, power, c in steps:
+            block = power * math.prod(range((lam - 1) * q + 1, lam * q + 1))
+            if c > 0:
+                num *= block**c
+            else:
+                den *= block**-c
+        g *= Fraction(num, den)
+        out.append(g)
     return out
 
 
@@ -119,45 +132,41 @@ def theta_coeffs(gog: GraphOfGroups) -> ThetaCoeffs:
     theta_u = (1/u!) * sum_{j=0}^{u} (-1)^(u-j) * C(u,j) * m * (j+1)
               * prod_{k=1}^{m} (j*m + k)^zeta_{gcd(m,k)}.
 
-    Negative exponents contribute reciprocal factors, so the intermediate
-    values are rationals; each final theta_u must be an integer.
+    Since m*(j+1) = j*m + m, the prefactor is one more power of the k = m
+    factor. For genuine data that lifts the lone negative exponent
+    (zeta_m = -1 on a tree) to 0, so every term is an integer; any exponent
+    still negative contributes a reciprocal factor and the terms become
+    rationals. Each final theta_u must be an integer.
     """
     check_valid(gog)
     tv = type_vector(gog)
     m = tv.m
     mu = free_rank(gog)
+    exps = [tv.zeta[math.gcd(m, k)] for k in range(1, m + 1)]
+    exps[-1] += 1
+    up = [(k, e) for k, e in enumerate(exps, 1) if e > 0]
+    down = [(k, -e) for k, e in enumerate(exps, 1) if e < 0]
 
-    def base_term(j: int) -> Fraction:
-        num = m * (j + 1)
-        den = 1
-        for k in range(1, m + 1):
-            z = tv.zeta[math.gcd(m, k)]
-            if z >= 0:
-                num *= (j * m + k) ** z
-            else:
-                den *= (j * m + k) ** (-z)
-        return Fraction(num, den)
-
-    terms = [base_term(j) for j in range(mu + 1)]
-    # for genuine data the terms are integers (the m*(j+1) factor cancels
-    # the lone negative exponent at k = m); stay in plain ints when so
-    work: list = (
-        [t.numerator for t in terms]
-        if all(t.denominator == 1 for t in terms)
-        else list(terms)
-    )
+    def term(j: int) -> int | Fraction:
+        num = math.prod((j * m + k) ** e for k, e in up)
+        if not down:
+            return num
+        return Fraction(num, math.prod((j * m + k) ** e for k, e in down))
 
     # the alternating binomial sum for theta_u is the u-th forward
     # difference of the term sequence at 0, divided by u!
+    work = [term(j) for j in range(mu + 1)]
     theta: list[int] = []
     factorial = 1
     for u in range(mu + 1):
         if u:
             factorial *= u
             work = [b - a for a, b in zip(work, work[1:])]
-        val = Fraction(work[0], factorial)
-        if val.denominator != 1:
-            raise NonIntegralTheta(f"theta_{u} = {val} is not an integer")
+        val, rem = divmod(work[0], factorial)
+        if rem:
+            raise NonIntegralTheta(
+                f"theta_{u} = {Fraction(work[0], factorial)} is not an integer"
+            )
         theta.append(int(val))
     return ThetaCoeffs(theta=tuple(theta))
 
@@ -176,7 +185,8 @@ def ode_check(g: list[Fraction], theta: ThetaCoeffs, m: int) -> bool:
         sum_{u=0}^{d} theta_u * l(l-1)...(l-u+1) * g_l = m (l+1) g_{l+1},
 
     with the empty product (u = 0) equal to 1. True iff this holds for all
-    l representable in the given truncation.
+    l representable in the given truncation; both sides are compared
+    cross-multiplied by the two denominators, in integers.
     """
     th = theta.theta
     for lam in range(len(g) - 1):
@@ -188,7 +198,9 @@ def ode_check(g: list[Fraction], theta: ThetaCoeffs, m: int) -> bool:
             if falling == 0:
                 break
             total += coeff * falling
-        if total * g[lam] != m * (lam + 1) * g[lam + 1]:
+        a, b = g[lam], g[lam + 1]
+        lhs = total * a.numerator * b.denominator
+        if lhs != m * (lam + 1) * b.numerator * a.denominator:
             return False
     return True
 

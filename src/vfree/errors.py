@@ -118,6 +118,10 @@ class UnclassifiableShape(VfreeError):
     code = "UnclassifiableShape"
 
 
+class InconsistentReport(VfreeError):
+    code = "InconsistentReport"
+
+
 # --- oracles ----------------------------------------------------------------
 
 class DegreeTooLarge(VfreeError):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 
 from hypothesis import strategies as st
 
@@ -74,6 +75,42 @@ def invariant_signature(gog: GraphOfGroups, depth: int = 0, with_g: bool = False
         if with_g:
             sig = sig + (tuple(g_series(gog, depth)),)
     return sig
+
+
+# --- reference closed form -------------------------------------------------------
+
+def g_closed_form(gog: GraphOfGroups, N: int) -> list[tuple[int, int]]:
+    """g_0..g_N from the closed product form, each term rebuilt from scratch:
+
+    g_l = prod over geometric edges e of (l*m/|G_e|)! * |G_e|^(l*m/|G_e|)
+        / prod over vertices v       of (l*m/|G_v|)! * |G_v|^(l*m/|G_v|).
+
+    Each term is the unreduced pair (numerator, denominator) above; reducing
+    the huge pairs would dominate the cost of the comparison. The oracle
+    for the term-ratio recurrence of ``g_series``.
+    """
+    m = m_gamma(gog)
+    edge_orders = [gog.edge_order[e] for e in gog.graph.orientation_reps()]
+    vertex_orders = list(gog.vertex_order.values())
+    out = []
+    for lam in range(N + 1):
+        num = 1
+        for s in edge_orders:
+            k = lam * m // s
+            num *= math.factorial(k) * s**k
+        den = 1
+        for n in vertex_orders:
+            k = lam * m // n
+            den *= math.factorial(k) * n**k
+        out.append((num, den))
+    return out
+
+
+def same_values(g: list[Fraction], pairs: list[tuple[int, int]]) -> bool:
+    """True iff g[l] == num/den for each (num, den) in pairs, in integers."""
+    return len(g) == len(pairs) and all(
+        x.numerator * den == num * x.denominator for x, (num, den) in zip(g, pairs)
+    )
 
 
 # --- contraction-order exploration ---------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -23,7 +24,7 @@ from vfree.classify import (
     largeness_report,
 )
 from vfree.counting import f_series, f_series_rank2
-from vfree.errors import WrongRank
+from vfree.errors import InconsistentReport, WrongRank
 from vfree.gog import build_gog
 from vfree.invariants import euler_char, free_rank
 from vfree.normalize import normalize
@@ -224,6 +225,15 @@ class TestDistinguishRank1:
     def test_wrong_rank(self):
         with pytest.raises(WrongRank):
             distinguish_rank1(classified(dihedral()), classified(c2_star_c3()))
+
+    def test_inconsistent_report(self):
+        loop = classified(hnn_loop(4, 4))
+        amalgam = classified(dihedral())
+        # labels swapped against their type vectors; raised even under -O
+        with pytest.raises(InconsistentReport):
+            distinguish_rank1(dataclasses.replace(loop, label=Label.R1_II), amalgam)
+        with pytest.raises(InconsistentReport):
+            distinguish_rank1(loop, dataclasses.replace(amalgam, label=Label.R1_I))
 
 
 class TestEulerCrossCheck:

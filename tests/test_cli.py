@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from helpers import dihedral, free_bouquet
@@ -9,6 +11,11 @@ F2 = "vertex v 1\nedge p v v 1\nedge q v v 1\n"
 C2C3 = "vertex a 2\nvertex b 3\nedge s a b 1\n"
 COLLAPSIBLE = "vertex a 4\nvertex b 2\nedge s a b 2\n"
 BAD_DIVISIBILITY = "vertex a 2\nvertex b 3\nedge s a b 2\n"
+# m = 24, mu = 34: f_50 is the first count past 4300 decimal digits
+BIG = (
+    "vertex a 12\nvertex b 8\nvertex c 6\n"
+    "edge x a b 4\nedge y b c 2\nedge z a c 1\n"
+)
 
 
 @pytest.fixture
@@ -47,6 +54,14 @@ class TestValidate:
         code, out, err = run(capsys, "validate", "/nonexistent/x.gog")
         assert code == 2
 
+    def test_non_utf8_is_typed_error(self, tmp_path, capsys):
+        path = tmp_path / "latin1.gog"
+        path.write_bytes("# ordre \u00e9gal\n".encode("latin-1") + DIHEDRAL.encode())
+        code, out, err = run(capsys, "validate", str(path))
+        assert code == 1
+        assert out == ""
+        assert err == "SyntaxError: file is not valid UTF-8 at byte 8\n"
+
 
 class TestCount:
     def test_free_group_counts(self, gog_file, capsys):
@@ -58,6 +73,15 @@ class TestCount:
         code, out, _ = run(capsys, "count", "--terms", "3", "--g", gog_file(DIHEDRAL))
         assert code == 0
         assert out.splitlines() == ["1 1 1/2", "2 1 3/8", "3 1 5/16"]
+
+    def test_counts_past_digit_limit(self, gog_file, capsys):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        code, out, _ = run(capsys, "count", "--terms", "60", gog_file(BIG))
+        assert code == 0
+        lines = out.splitlines()
+        assert [line.split()[0] for line in lines] == [str(i) for i in range(1, 61)]
+        assert len(lines[49].split()[1]) > 4300
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
     def test_terms_cap(self, gog_file, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -9,7 +9,9 @@ from helpers import (
     dihedral,
     double_edge,
     free_bouquet,
+    g_closed_form,
     hnn_loop,
+    same_values,
     segment,
     segment_with_loop,
     small_gogs,
@@ -32,6 +34,7 @@ from vfree.errors import MissingParam, UnknownClass, WrongRank
 from vfree.gog import build_gog
 from vfree.invariants import m_gamma
 from vfree.normalize import normalize
+from vfree.oracle import exhaustive_rank2_shapes
 
 # frozen by the permutation-enumeration oracle (see test_oracle.py)
 FREE_RANK2_COUNTS = [1, 3, 13, 71, 461, 3447]
@@ -57,6 +60,17 @@ class TestGSeries:
     @settings(max_examples=50, deadline=None)
     def test_g0_is_one(self, gog):
         assert g_series(gog, 0) == [Fraction(1)]
+
+    def test_matches_closed_form_on_order8_shapes(self):
+        shapes = exhaustive_rank2_shapes(8)
+        assert len(shapes) == 640
+        for gog in shapes:
+            assert same_values(g_series(gog, 30), g_closed_form(gog, 30))
+
+    @given(small_gogs())
+    @settings(max_examples=50, deadline=None)
+    def test_matches_closed_form(self, gog):
+        assert same_values(g_series(gog, 20), g_closed_form(gog, 20))
 
 
 class TestFSeries:
@@ -129,6 +143,16 @@ class TestTheta:
     def test_ode_check_rejects_corrupted_theta(self):
         g = g_series(dihedral(), 10)
         assert not ode_check(g, ThetaCoeffs((1, 3)), 2)
+
+    def test_ode_check_rejects_one_perturbed_term(self):
+        # g_series never reads theta, so ode_check must catch a wrong g
+        gog = c2_star_c3()
+        g = g_series(gog, 12)
+        th = theta_coeffs(gog)
+        for lam in range(len(g)):
+            bad = list(g)
+            bad[lam] += Fraction(1, 7)
+            assert not ode_check(bad, th, m_gamma(gog))
 
     def test_ode_examples(self):
         for gog in (dihedral(), free_bouquet(2), c2_star_c3()):
