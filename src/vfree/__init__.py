@@ -17,9 +17,7 @@ from .classify import (
     largeness_report,
 )
 from .counting import (
-    CountSeries,
     ThetaCoeffs,
-    count_series,
     f_series,
     f_series_rank2,
     g_series,
@@ -44,7 +42,6 @@ from .graph import (
     Orientation,
     SpanningTree,
     build_graph,
-    extend_orientation,
     is_connected,
     orient_from_root,
     spanning_tree,
@@ -73,7 +70,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ClassificationReport",
     "ContractionStep",
-    "CountSeries",
     "Graph",
     "GraphOfGroups",
     "Label",
@@ -90,13 +86,11 @@ __all__ = [
     "check_edge_bound",
     "classify",
     "contract_edge",
-    "count_series",
     "distinguish_rank1",
     "divisors",
     "euler_char",
     "euler_from_type",
     "exhaustive_rank2_shapes",
-    "extend_orientation",
     "f_series",
     "f_series_rank2",
     "find_trivial_edge",

@@ -21,45 +21,37 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 
 from .counting import f_series
 from .errors import InconsistentReport, UnclassifiableShape, WrongRank
-from .gog import NormalizedGog, build_gog
-from .invariants import TypeVector, euler_char, free_rank, m_gamma, type_vector
+from .gog import NormalizedGog
+from .invariants import TypeVector, euler_char, free_rank, type_vector
 
 
 class Label(Enum):
-    FINITE = "FINITE"
-    R1_I = "R1_I"
-    R1_II = "R1_II"
-    R2_I = "R2_I"
-    R2_II = "R2_II"
-    R2_III_1 = "R2_III_1"
-    R2_III_2 = "R2_III_2"
-    R2_III_3 = "R2_III_3"
-    R2_IV = "R2_IV"
-    R2_V = "R2_V"
-    HIGHER = "HIGHER"
+    """A structural class, with its output line and recurrence family.
 
-    @property
-    def display(self) -> str:
-        name = self.value
-        for prefix in ("R1_", "R2_"):
-            if name.startswith(prefix):
-                return name[len(prefix):]
-        return name
+    ``line`` is the class's ``vfree classify`` line, a format string filled
+    from the report's params; ``family`` names the class's recurrence in
+    ``counting.f_series_rank2`` ("i"-"v", None outside rank 2).
+    """
 
+    FINITE = ("rank=0 class=FINITE m={m}", None)
+    R1_I = ("rank=1 class=I m={m}", None)
+    R1_II = ("rank=1 class=II m={m} |S|={S}", None)
+    R2_I = ("rank=2 class=I m={m} |S|={S} index={index}", "i")
+    R2_II = ("rank=2 class=II m={m}", "ii")
+    R2_III_1 = ("rank=2 class=III_1 a=({a1},{a2}) |S|={S}", "iii")
+    R2_III_2 = ("rank=2 class=III_2 a=({a1},{a2}) |S|={S}", "iii")
+    R2_III_3 = ("rank=2 class=III_3 a=({a1},{a2}) |S|={S}", "iii")
+    R2_IV = ("rank=2 class=IV m={m} |S1|={S1} |S2|={S2}", "iv")
+    R2_V = ("rank=2 class=V m={m} |S1|={S1} |S2|={S2}", "v")
+    HIGHER = ("rank={mu} class=HIGHER m={m}", None)
 
-# recurrence family used by counting.f_series_rank2, per label
-RECURRENCE_FAMILY = {
-    Label.R2_I: "i",
-    Label.R2_II: "ii",
-    Label.R2_III_1: "iii",
-    Label.R2_III_2: "iii",
-    Label.R2_III_3: "iii",
-    Label.R2_IV: "iv",
-    Label.R2_V: "v",
-}
+    def __init__(self, line: str, family: str | None):
+        self.line = line
+        self.family = family
 
 
 @dataclass(frozen=True)
@@ -250,16 +242,14 @@ def largeness_report(ngog: NormalizedGog, N: int) -> LargenessReport:
         if not is_tree or len(geom) >= 2:
             structural = True
         else:
-            # single-edge tree: decide by the two-vertex amalgam datum
+            # single-edge tree: decide by the amalgam's Euler characteristic
             e = geom[0]
-            amalgam = build_gog(
-                {
-                    "a": gog.vertex_order[g.origin[e]],
-                    "b": gog.vertex_order[g.terminus[e]],
-                },
-                [("s", "a", "b", gog.edge_order[e])],
+            structural = (
+                Fraction(1, gog.vertex_order[g.origin[e]])
+                + Fraction(1, gog.vertex_order[g.terminus[e]])
+                - Fraction(1, gog.edge_order[e])
+                < 0
             )
-            structural = euler_char(amalgam) < 0
 
     f = f_series(gog, N)
     increasing = all(f[i] < f[i + 1] for i in range(len(f) - 1))

@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from . import counting, invariants, oracle
-from .classify import Label, classify, largeness_report
+from .classify import classify, largeness_report
 from .errors import GogSyntaxError, VfreeError
 from .gog import parse_gog, parse_gog_structure, serialize_gog, validate
 from .graph import spanning_tree
@@ -97,34 +97,7 @@ def cmd_classify(args) -> int:
     gog = parse_gog(_read(args.file))
     ngog, _ = normalize(gog)
     rep = classify(ngog)
-    label = rep.label
-    p = rep.params
-    if label is Label.FINITE:
-        line = f"rank=0 class=FINITE m={p['m']}"
-    elif label is Label.R1_I:
-        line = f"rank=1 class=I m={p['m']}"
-    elif label is Label.R1_II:
-        line = f"rank=1 class=II m={p['m']} |S|={p['S']}"
-    elif label is Label.R2_I:
-        line = f"rank=2 class=I m={p['m']} |S|={p['S']} index={p['index']}"
-    elif label is Label.R2_II:
-        line = f"rank=2 class=II m={p['m']}"
-    elif label in (
-        Label.R2_III_1,
-        Label.R2_III_2,
-        Label.R2_III_3,
-    ):
-        line = (
-            f"rank=2 class={label.display} "
-            f"a=({p['a1']},{p['a2']}) |S|={p['S']}"
-        )
-    elif label is Label.R2_IV:
-        line = f"rank=2 class=IV m={p['m']} |S1|={p['S1']} |S2|={p['S2']}"
-    elif label is Label.R2_V:
-        line = f"rank=2 class=V m={p['m']} |S1|={p['S1']} |S2|={p['S2']}"
-    else:
-        line = f"rank={rep.rank} class=HIGHER m={p['m']}"
-    print(line)
+    print(rep.label.line.format(**rep.params))
     if rep.witness:
         print("witness=" + ",".join(rep.witness))
     return 0
@@ -370,8 +343,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "count" and not 1 <= args.terms <= MAX_TERMS:
         parser.error(f"--terms must be in 1..{MAX_TERMS}")
-    if args.command == "largeness" and args.prefix < 2:
-        parser.error("--prefix must be at least 2")
+    if args.command == "largeness" and not 2 <= args.prefix <= MAX_TERMS:
+        parser.error(f"--prefix must be in 2..{MAX_TERMS}")
     # counts outgrow CPython's default 4300-digit int-to-str limit (f_50 of
     # a 24-point datum already does). The limit is absent before 3.10.7 and
     # is restored on return, so in-process callers keep their own.

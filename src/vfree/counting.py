@@ -46,21 +46,6 @@ from .normalize import normalize
 
 
 @dataclass(frozen=True)
-class CountSeries:
-    """Truncated exact series: g[0..N] with g[0] = 1, and f[0] = f_1 etc."""
-
-    m: int
-    g: tuple[Fraction, ...]
-    f: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not self.g or self.g[0] != 1:
-            raise ValueError("g must start with g_0 = 1")
-        if len(self.f) != len(self.g) - 1:
-            raise ValueError("f must cover indices 1..N for g covering 0..N")
-
-
-@dataclass(frozen=True)
 class ThetaCoeffs:
     """Integer ODE coefficients theta_0..theta_mu."""
 
@@ -118,12 +103,6 @@ def f_series(gog: GraphOfGroups, N: int) -> list[int]:
             raise NonPositiveCount(f"f_{lam} = {n} with free rank {mu}")
         f.append(n)
     return f
-
-
-def count_series(gog: GraphOfGroups, N: int) -> CountSeries:
-    return CountSeries(
-        m=m_gamma(gog), g=tuple(g_series(gog, N)), f=tuple(f_series(gog, N))
-    )
 
 
 def theta_coeffs(gog: GraphOfGroups) -> ThetaCoeffs:
@@ -205,11 +184,19 @@ def ode_check(g: list[Fraction], theta: ThetaCoeffs, m: int) -> bool:
     return True
 
 
-RANK2_CLASSES = ("i", "ii", "iii", "iv", "v")
+# f_1 (from m and |S|) and c_l * m (from m and l) of each rank-2 recurrence
+# family; only family iii reads |S|
+_RANK2_RECURRENCES = {
+    "i": (lambda m, s: m * m // 2, lambda m, lam: (2 * lam + 3) * m // 2),
+    "ii": (lambda m, s: m * m, lambda m, lam: (lam + 2) * m),
+    "iii": (lambda m, s: (m - s) * s, lambda m, lam: (lam + 1) * m),
+    "iv": (lambda m, s: m * m // 2, lambda m, lam: (2 * lam + 3) * m // 2),
+    "v": (lambda m, s: (m // 2) ** 2, lambda m, lam: (lam + 1) * m),
+}
 
 
 def _rank2_inputs(class_label: str, params: dict[str, int]) -> tuple[int, int | None]:
-    if class_label not in RANK2_CLASSES:
+    if class_label not in _RANK2_RECURRENCES:
         raise UnknownClass(class_label)
     if "m" not in params:
         raise MissingParam("m")
@@ -234,25 +221,11 @@ def f_series_rank2(class_label: str, params: dict[str, int], N: int) -> list[int
     m, s = _rank2_inputs(class_label, params)
     if class_label in ("i", "iv", "v") and m % 2 != 0:
         raise MissingParam(f"class {class_label} requires even m, got {m}")
+    first, step = _RANK2_RECURRENCES[class_label]
 
-    if class_label in ("i", "iv"):
-        f1 = m * m // 2
-    elif class_label == "ii":
-        f1 = m * m
-    elif class_label == "iii":
-        f1 = (m - s) * s
-    else:
-        f1 = (m // 2) ** 2
-
-    f = [f1]
+    f = [first(m, s)]
     for lam in range(1, N):
-        if class_label in ("i", "iv"):
-            c = (2 * lam + 3) * m // 2
-        elif class_label == "ii":
-            c = (lam + 2) * m
-        else:
-            c = (lam + 1) * m
-        nxt = c * f[lam - 1]
+        nxt = step(m, lam) * f[lam - 1]
         for u in range(1, lam):
             nxt += f[u - 1] * f[lam - u - 1]
         f.append(nxt)

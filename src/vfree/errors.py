@@ -46,10 +46,6 @@ class UnknownRoot(VfreeError):
     code = "UnknownRoot"
 
 
-class PartialConflict(VfreeError):
-    code = "PartialConflict"
-
-
 # --- graph-of-groups validation / parsing ---------------------------------
 
 class GogSyntaxError(VfreeError):

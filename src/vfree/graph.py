@@ -22,7 +22,6 @@ from .errors import (
     FixedPointInvolution,
     IncidenceMismatch,
     NotConnected,
-    PartialConflict,
     UnknownRoot,
 )
 
@@ -146,12 +145,11 @@ def spanning_tree(g: Graph, root: str) -> SpanningTree:
     """Breadth-first spanning tree from ``root``.
 
     Half-edges are explored in ascending id order, so the result is
-    a deterministic function of the graph and the root.
+    a deterministic function of the graph and the root. Raises NotConnected
+    if the search does not reach every vertex.
     """
     if root not in g.vertices:
         raise UnknownRoot(root)
-    if not is_connected(g):
-        raise NotConnected("spanning tree requires a connected graph")
 
     tree: set[str] = set()
     seen = {root}
@@ -165,6 +163,8 @@ def spanning_tree(g: Graph, root: str) -> SpanningTree:
                 tree.add(e)
                 tree.add(g.bar[e])
                 frontier.append(w)
+    if len(seen) != len(g.vertices):
+        raise NotConnected("spanning tree requires a connected graph")
     return SpanningTree(graph=g, tree_edges=frozenset(tree), root=root)
 
 
@@ -200,19 +200,3 @@ def orient_from_root(t: SpanningTree, v0: str) -> Orientation:
         e for e in t.tree_edges if dist[g.terminus[e]] == dist[g.origin[e]] + 1
     )
     return Orientation(chosen=chosen)
-
-
-def extend_orientation(g: Graph, partial: Orientation) -> Orientation:
-    """Extend a partial orientation to all geometric edges of g.
-
-    Pairs not covered by ``partial`` get their smaller half-edge. Raises
-    PartialConflict if both members of some pair are already chosen.
-    """
-    chosen = set(partial.chosen)
-    for e in chosen:
-        if g.bar[e] in chosen:
-            raise PartialConflict(f"both {e!r} and {g.bar[e]!r} chosen")
-    for e, b in g.geometric_edges():
-        if e not in chosen and b not in chosen:
-            chosen.add(e)
-    return Orientation(chosen=frozenset(chosen))

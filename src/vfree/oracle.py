@@ -16,7 +16,7 @@ import random
 
 from .errors import DegreeTooLarge, NonExactDivision, TooLarge
 from .gog import GraphOfGroups, build_gog
-from .graph import Graph, Orientation, SpanningTree, build_graph
+from .graph import Graph, SpanningTree, build_graph
 
 MAX_ORACLE_DEGREE = 6
 MAX_ORACLE_TREE_EDGES = 20

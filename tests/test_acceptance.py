@@ -21,7 +21,7 @@ from helpers import (
     triple_c2,
     trivial_tree_half_edges,
 )
-from vfree.classify import RECURRENCE_FAMILY, Label, classify, largeness_report
+from vfree.classify import Label, classify, largeness_report
 from vfree.counting import (
     f_series,
     f_series_rank2,
@@ -192,7 +192,7 @@ def test_criterion_09_classification(shapes12):
             third_class_pairs.add((rep.params["a1"], rep.params["a2"]))
         if rep.rank == 2:
             rank2_count += 1
-            family = RECURRENCE_FAMILY[rep.label]
+            family = rep.label.family
             params = {"m": rep.params["m"]}
             if family == "iii":
                 params["S"] = rep.params["S"]

@@ -17,7 +17,6 @@ from helpers import (
     triple_c2,
 )
 from vfree.classify import (
-    RECURRENCE_FAMILY,
     Label,
     classify,
     distinguish_rank1,
@@ -150,7 +149,7 @@ class TestExhaustiveness:
             if free_rank(gog) != 2:
                 continue
             rep = classify(normalize(gog)[0])
-            family = RECURRENCE_FAMILY[rep.label]
+            family = rep.label.family
             params = {"m": rep.params["m"]}
             if family == "iii":
                 params["S"] = rep.params["S"]

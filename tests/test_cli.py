@@ -144,6 +144,52 @@ class TestClassify:
         code, out, _ = run(capsys, "classify", gog_file(text))
         assert out.splitlines()[0] == "rank=3 class=HIGHER m=1"
 
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("vertex v 7\n", "rank=0 class=FINITE m=7\nwitness=v\n"),
+            (
+                "vertex v 4\nedge e v v 4\n",
+                "rank=1 class=I m=4\nwitness=v,e\n",
+            ),
+            (
+                "vertex v 4\nedge e v v 2\n",
+                "rank=2 class=I m=4 |S|=2 index=2\nwitness=v,e\n",
+            ),
+            (
+                "vertex a 4\nvertex b 4\nedge e1 a b 2\nedge e2 a b 4\n",
+                "rank=2 class=I m=4 |S|=2 index=2\nwitness=a,e1,b,e2\n",
+            ),
+            (
+                "vertex v 2\nedge p v v 2\nedge q v v 2\n",
+                "rank=2 class=II m=2\nwitness=v,p,q\n",
+            ),
+            (
+                "vertex a 3\nvertex b 3\nedge s a b 1\n",
+                "rank=2 class=III_2 a=(3,3) |S|=1\nwitness=a,s,b\n",
+            ),
+            (
+                "vertex a 2\nvertex b 4\nedge s a b 1\n",
+                "rank=2 class=III_3 a=(2,4) |S|=1\nwitness=a,s,b\n",
+            ),
+            (
+                "vertex a 2\nvertex b 2\nedge e1 a b 1\nedge e2 b b 2\n",
+                "rank=2 class=IV m=2 |S1|=1 |S2|=2\nwitness=a,e1,b,e2\n",
+            ),
+            (
+                "vertex a 4\nvertex b 4\nvertex c 4\n"
+                "edge e a b 2\nedge f b c 2\n",
+                "rank=2 class=V m=4 |S1|=2 |S2|=2\nwitness=a,e,b,f,c\n",
+            ),
+        ],
+        ids=["finite", "r1-i", "r2-i-loop", "r2-i-double-edge", "r2-ii",
+             "r2-iii-2", "r2-iii-3", "r2-iv", "r2-v"],
+    )
+    def test_class_lines(self, gog_file, capsys, text, expected):
+        code, out, _ = run(capsys, "classify", gog_file(text))
+        assert code == 0
+        assert out == expected
+
 
 class TestLargeness:
     def test_dihedral(self, gog_file, capsys):
@@ -159,6 +205,11 @@ class TestLargeness:
     def test_c2c3_with_prefix(self, gog_file, capsys):
         code, out, _ = run(capsys, "largeness", "--prefix", "6", gog_file(C2C3))
         assert "f_strictly_increasing=true (prefix 6)" in out.splitlines()
+
+    def test_prefix_cap(self, gog_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["largeness", "--prefix", "201", gog_file(DIHEDRAL)])
+        assert exc.value.code == 2
 
 
 class TestVerify:

@@ -19,7 +19,6 @@ from helpers import (
 )
 from vfree.counting import (
     ThetaCoeffs,
-    count_series,
     f_series,
     f_series_rank2,
     g_series,
@@ -114,12 +113,6 @@ class TestFSeries:
         ngog, _ = normalize(gog)
         assert f_series(gog, 10) == f_series(ngog.gog, 10)
         assert g_series(gog, 10) == g_series(ngog.gog, 10)
-
-    def test_count_series_bundle(self):
-        cs = count_series(dihedral(), 5)
-        assert cs.m == 2
-        assert cs.g[0] == 1
-        assert cs.f == (1, 1, 1, 1, 1)
 
 
 class TestTheta:

@@ -8,13 +8,10 @@ from vfree.errors import (
     FixedPointInvolution,
     IncidenceMismatch,
     NotConnected,
-    PartialConflict,
     UnknownRoot,
 )
 from vfree.graph import (
-    Orientation,
     build_graph,
-    extend_orientation,
     is_connected,
     orient_from_root,
     spanning_tree,
@@ -203,35 +200,3 @@ class TestOrientFromRoot:
             dist = tree_distances(t, v0)
             for e in o.chosen:
                 assert dist[g.terminus[e]] == dist[g.origin[e]] + 1
-
-
-class TestExtendOrientation:
-    def test_empty_partial_on_loop(self):
-        g = loop_graph()
-        o = extend_orientation(g, Orientation(frozenset()))
-        assert o.chosen == frozenset({"e"})
-
-    def test_tree_orientation_unchanged_on_tree(self):
-        g = path_graph(2)
-        t = spanning_tree(g, "v01")
-        partial = orient_from_root(t, "v01")
-        assert extend_orientation(g, partial).chosen == partial.chosen
-
-    def test_tree_plus_loop(self):
-        records = [
-            ("e", "e~", "a", "b"),
-            ("e~", "e", "b", "a"),
-            ("l", "l~", "b", "b"),
-            ("l~", "l", "b", "b"),
-        ]
-        g = build_graph(["a", "b"], records)
-        t = spanning_tree(g, "a")
-        partial = orient_from_root(t, "a")
-        full = extend_orientation(g, partial)
-        assert partial.chosen <= full.chosen
-        assert "l" in full.chosen and "l~" not in full.chosen
-
-    def test_conflict(self):
-        g = segment_graph()
-        with pytest.raises(PartialConflict):
-            extend_orientation(g, Orientation(frozenset({"e", "e~"})))
