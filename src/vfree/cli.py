@@ -345,6 +345,10 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"--terms must be in 1..{MAX_TERMS}")
     if args.command == "largeness" and not 2 <= args.prefix <= MAX_TERMS:
         parser.error(f"--prefix must be in 2..{MAX_TERMS}")
+    if args.command == "verify" and args.bound is not None and not (
+        1 <= args.bound <= MAX_TERMS
+    ):
+        parser.error(f"--bound must be in 1..{MAX_TERMS}")
     # counts outgrow CPython's default 4300-digit int-to-str limit (f_50 of
     # a 24-point datum already does). The limit is absent before 3.10.7 and
     # is restored on return, so in-process callers keep their own.

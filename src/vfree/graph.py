@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     BrokenInvolution,
@@ -46,9 +47,22 @@ class Graph:
         """The smaller half-edge of every pair: a canonical orientation."""
         return tuple(e for e, _ in self.geometric_edges())
 
+    @cached_property
+    def _adjacency(self) -> dict[str, tuple[str, ...]]:
+        """origin -> its half-edges, ascending by id, built in one pass.
+
+        ``cached_property`` stores the table in the instance ``__dict__``,
+        which a frozen dataclass allows; it is not a field, so equality is
+        unchanged.
+        """
+        out: dict[str, list[str]] = {}
+        for e in self.half_edges:
+            out.setdefault(self.origin[e], []).append(e)
+        return {v: tuple(es) for v, es in out.items()}
+
     def out_edges(self, v: str) -> tuple[str, ...]:
         """Half-edges with origin v, ascending by id."""
-        return tuple(e for e in self.half_edges if self.origin[e] == v)
+        return self._adjacency.get(v, ())
 
     def is_loop(self, e: str) -> bool:
         return self.origin[e] == self.terminus[e]

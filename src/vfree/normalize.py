@@ -11,6 +11,20 @@ Contraction is repeated, always at the smallest-id trivial half-edge,
 until none remains. Each step removes one vertex, so at most |V| - 1
 steps occur. Non-tree edges with order equality are left alone; only the
 tree is constrained.
+
+``normalize`` runs this loop in one pass, without rebuilding the datum per
+step. A half-edge can stop being trivial but never become trivial: its
+order never changes, and contraction only moves its terminus from the
+removed vertex r to the survivor s, whose order is a multiple of r's (the
+contracted edge's order equals r's order and divides s's). As the edge
+order divides the terminus order, an edge that is not onto at r is not
+onto at s either. So the trivial tree half-edges of every step are among
+those of the start, and a candidate passed over once (contracted, or no
+longer trivial) is never needed again. One ascending pass over the start's
+candidates, skipping those, therefore yields exactly the step sequence of
+``find_trivial_edge`` + ``contract_edge`` repeated. Merged vertices are
+tracked by union-find (removed -> survivor), so the current terminus of e
+is find(terminus(e)); the whole pass takes O((V + H) log H) time.
 """
 
 from __future__ import annotations
@@ -97,14 +111,60 @@ def normalize(gog: GraphOfGroups) -> tuple[NormalizedGog, list[ContractionStep]]
 
     The spanning tree is built once, rooted at the smallest vertex id, and
     shrinks with each contraction. Returns the normalized datum and the
-    step log (empty when the input is already normalized).
+    step log (empty, with the input datum, when it is already normalized).
+    The steps are those of repeated ``find_trivial_edge`` +
+    ``contract_edge``; the result datum is built once, at the end.
     """
     check_valid(gog)
-    tree = spanning_tree(gog.graph, gog.graph.vertices[0])
+    g = gog.graph
+    tree = spanning_tree(g, g.vertices[0])
+    candidates = sorted(
+        e for e in tree.tree_edges
+        if gog.edge_order[e] == gog.vertex_order[g.terminus[e]]
+    )
+    merged: dict[str, str] = {}  # removed vertex -> vertex it went into
+
+    def find(v: str) -> str:
+        root = v
+        while root in merged:
+            root = merged[root]
+        while v != root:
+            merged[v], v = root, merged[v]
+        return root
+
+    dropped: set[str] = set()
     steps: list[ContractionStep] = []
-    while True:
-        e = find_trivial_edge(gog, tree)
-        if e is None:
-            return NormalizedGog(gog=gog, tree=tree), steps
-        gog, tree, step = contract_edge(gog, tree, e)
-        steps.append(step)
+    for e in candidates:
+        if e in dropped:
+            continue
+        removed = find(g.terminus[e])
+        if gog.edge_order[e] != gog.vertex_order[removed]:
+            continue
+        survivor = find(g.origin[e])
+        merged[removed] = survivor
+        dropped.update((e, g.bar[e]))
+        steps.append(ContractionStep(
+            contracted_edge=e, removed_vertex=removed, surviving_vertex=survivor
+        ))
+    if not steps:
+        return NormalizedGog(gog=gog, tree=tree), steps
+
+    kept = [e for e in g.half_edges if e not in dropped]
+    new_graph = Graph(
+        vertices=tuple(v for v in g.vertices if v not in merged),
+        half_edges=tuple(kept),
+        bar={e: g.bar[e] for e in kept},
+        origin={e: find(g.origin[e]) for e in kept},
+        terminus={e: find(g.terminus[e]) for e in kept},
+    )
+    new_gog = GraphOfGroups(
+        graph=new_graph,
+        vertex_order={v: n for v, n in gog.vertex_order.items() if v not in merged},
+        edge_order={e: s for e, s in gog.edge_order.items() if e not in dropped},
+    )
+    new_tree = SpanningTree(
+        graph=new_graph,
+        tree_edges=tree.tree_edges - dropped,
+        root=find(tree.root),
+    )
+    return NormalizedGog(gog=new_gog, tree=new_tree), steps

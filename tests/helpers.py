@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 from vfree import build_gog
 from vfree.counting import f_series, g_series
 from vfree.gog import GraphOfGroups
+from vfree.graph import spanning_tree
 from vfree.invariants import euler_char, free_rank, m_gamma, type_vector
-from vfree.normalize import contract_edge
+from vfree.normalize import contract_edge, find_trivial_edge
 from vfree.oracle import random_gog
 
 
@@ -111,6 +112,21 @@ def same_values(g: list[Fraction], pairs: list[tuple[int, int]]) -> bool:
     return len(g) == len(pairs) and all(
         x.numerator * den == num * x.denominator for x, (num, den) in zip(g, pairs)
     )
+
+
+# --- reference normalization ----------------------------------------------------
+
+def normalize_by_steps(gog: GraphOfGroups):
+    """(datum, tree, steps) of the one-step loop: build the spanning tree
+    from the smallest vertex id, then repeatedly contract the smallest-id
+    trivial tree half-edge, rebuilding the datum each time. The oracle
+    for the one-pass ``normalize``."""
+    tree = spanning_tree(gog.graph, gog.graph.vertices[0])
+    steps = []
+    while (e := find_trivial_edge(gog, tree)) is not None:
+        gog, tree, step = contract_edge(gog, tree, e)
+        steps.append(step)
+    return gog, tree, steps
 
 
 # --- contraction-order exploration ---------------------------------------------

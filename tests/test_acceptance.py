@@ -18,7 +18,6 @@ from helpers import (
     invariant_signature,
     segment,
     terminal_data_all_orders,
-    triple_c2,
     trivial_tree_half_edges,
 )
 from vfree.classify import Label, classify, largeness_report

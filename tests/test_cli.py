@@ -2,7 +2,7 @@ import sys
 
 import pytest
 
-from helpers import dihedral, free_bouquet
+from helpers import free_bouquet
 from vfree.cli import main
 from vfree.gog import serialize_gog
 
@@ -223,6 +223,13 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "oracle", "--bound", "4")
         assert code == 0
         assert "FAIL" not in out
+
+    @pytest.mark.parametrize("bound", ["0", "-1", "201"])
+    def test_bound_cap(self, capsys, bound):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "growth", "--bound", bound])
+        assert exc.value.code == 2
+        assert "--bound must be in 1..200" in capsys.readouterr().err
 
     def test_unknown_suite_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from helpers import seeded_random_data
 from vfree.errors import (
     BrokenInvolution,
     DanglingVertexRef,
@@ -17,6 +18,7 @@ from vfree.graph import (
     spanning_tree,
     tree_distances,
 )
+from vfree.normalize import contract_edge, find_trivial_edge
 from vfree.oracle import random_tree_graph
 
 
@@ -100,6 +102,48 @@ class TestBuildGraph:
         )
         assert g.vertices == ("a", "b")
         assert g.half_edges == ("f", "f~")
+
+
+def assert_out_edges_match_scan(g):
+    for v in g.vertices:
+        out = g.out_edges(v)
+        assert out == tuple(e for e in g.half_edges if g.origin[e] == v)
+        assert list(out) == sorted(out)
+
+
+class TestOutEdges:
+    def test_small_graphs(self):
+        for g in (build_graph(["v"], []), loop_graph(), segment_graph(),
+                  path_graph(4), star_graph()):
+            assert_out_edges_match_scan(g)
+
+    def test_random_graphs_with_loops_and_multi_edges(self):
+        graphs = [d.graph for d in seeded_random_data(
+            23, 200, max_vertices=8, max_geometric_edges=16)]
+        assert any(g.is_loop(e) for g in graphs for e in g.half_edges)
+        assert any(
+            len(set(ends)) < len(ends)
+            for ends in (
+                [frozenset((g.origin[e], g.terminus[e]))
+                 for e in g.orientation_reps()]
+                for g in graphs
+            )
+        )
+        for g in graphs:
+            assert_out_edges_match_scan(g)
+
+    def test_contracted_graph_has_its_own_adjacency(self):
+        contracted = 0
+        for gog in seeded_random_data(29, 100):
+            tree = spanning_tree(gog.graph, gog.graph.vertices[0])
+            e = find_trivial_edge(gog, tree)
+            if e is None:
+                continue
+            assert_out_edges_match_scan(gog.graph)
+            new, _, _ = contract_edge(gog, tree, e)
+            assert_out_edges_match_scan(new.graph)
+            contracted += 1
+        assert contracted
 
 
 class TestConnectivity:

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from helpers import (
     dihedral,
     invariant_signature,
+    normalize_by_steps,
     seeded_random_data,
     small_gogs,
     terminal_data_all_orders,
@@ -12,7 +13,12 @@ from helpers import (
 from vfree.errors import NotTreeEdge, NotTrivial
 from vfree.gog import build_gog, serialize_gog
 from vfree.graph import spanning_tree
-from vfree.normalize import contract_edge, find_trivial_edge, normalize
+from vfree.normalize import (
+    ContractionStep,
+    contract_edge,
+    find_trivial_edge,
+    normalize,
+)
 
 
 def with_tree(gog):
@@ -159,3 +165,68 @@ class TestNormalize:
             want = invariant_signature(gog, depth=8)
             for terminal in terminal_data_all_orders(gog, tree):
                 assert invariant_signature(terminal, depth=8) == want
+
+
+def assert_matches_reference(gog):
+    ngog, steps = normalize(gog)
+    ref_gog, ref_tree, ref_steps = normalize_by_steps(gog)
+    assert steps == ref_steps
+    assert serialize_gog(ngog.gog) == serialize_gog(ref_gog)
+    assert ngog.gog == ref_gog
+    assert ngog.tree.tree_edges == ref_tree.tree_edges
+    assert ngog.tree.root == ref_tree.root
+
+
+class TestNormalizeMatchesOneStepLoop:
+    def test_seeded_random_data(self):
+        for gog in seeded_random_data(17, 300):
+            assert_matches_reference(gog)
+
+    def test_seeded_larger_data(self):
+        # long chains of merges, loops and multi-edges
+        for gog in seeded_random_data(19, 40, max_vertices=30,
+                                      max_geometric_edges=40):
+            assert_matches_reference(gog)
+
+    @given(small_gogs(max_vertices=6, max_extra_edges=3))
+    @settings(max_examples=150, deadline=None)
+    def test_small_gogs(self, gog):
+        assert_matches_reference(gog)
+
+    def test_root_contracted_away(self):
+        # the root a is the terminus of the only trivial half-edge s~
+        gog = build_gog({"a": 2, "b": 4, "c": 8}, [("s", "a", "b", 2),
+                                                  ("t", "b", "c", 2)])
+        ngog, steps = normalize(gog)
+        assert steps == [ContractionStep("s~", "a", "b")]
+        assert ngog.tree.root == "b"
+        assert_matches_reference(gog)
+
+    def test_contracting_path(self):
+        """3000-vertex path v0000-...-v2999: even edges e_i are onto at
+        v_(i+1) only and contract into v_i, in id order; odd edges have
+        order 1 and survive, re-homed onto v_(i-1) -- v_(i+1)."""
+        n = 3000
+        vid = [f"v{i:04d}" for i in range(n)]
+        eid = [f"e{i:04d}" for i in range(n - 1)]
+        order = {}
+        for i in range(0, n, 2):
+            k = 2 + (i // 2) % 2
+            order[vid[i]], order[vid[i + 1]] = 2 * k, k
+        edges = [
+            (eid[i], vid[i], vid[i + 1], order[vid[i + 1]] if i % 2 == 0 else 1)
+            for i in range(n - 1)
+        ]
+        ngog, steps = normalize(build_gog(order, edges))
+        assert steps == [
+            ContractionStep(eid[i], vid[i + 1], vid[i]) for i in range(0, n, 2)
+        ]
+        assert serialize_gog(ngog.gog) == "".join(
+            [f"vertex {vid[i]} {order[vid[i]]}\n" for i in range(0, n, 2)]
+            + [f"edge {eid[i]} {vid[i - 1]} {vid[i + 1]} 1\n"
+               for i in range(1, n - 1, 2)]
+        )
+        assert ngog.tree.root == vid[0]
+        assert ngog.tree.tree_edges == {
+            e for i in range(1, n - 1, 2) for e in (eid[i], eid[i] + "~")
+        }
