@@ -9,16 +9,15 @@ errors go to stderr as stable one-line codes. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import random
 import sys
 from fractions import Fraction
 
-from . import counting, invariants, oracle
+from . import counting, invariants
 from .classify import classify, largeness_report
 from .errors import GogSyntaxError, VfreeError
 from .gog import parse_gog, parse_gog_structure, serialize_gog, validate
-from .graph import spanning_tree
 from .normalize import normalize
+from .properties import SUITES
 
 MAX_TERMS = 200
 
@@ -119,164 +118,6 @@ def cmd_largeness(args) -> int:
     print("pride_preorder=implied-equivalent (not computed)")
     print("fast_subgroup_growth=implied-equivalent (not computed)")
     return 0
-
-
-# --- verify suites ----------------------------------------------------------
-
-def _std_data():
-    from .gog import build_gog
-
-    dihedral = build_gog({"a": 2, "b": 2}, [("s", "a", "b", 1)])
-    f2 = build_gog({"v": 1}, [("p", "v", "v", 1), ("q", "v", "v", 1)])
-    c2c3 = build_gog({"a": 2, "b": 3}, [("s", "a", "b", 1)])
-    return dihedral, f2, c2c3
-
-
-def suite_convolution(seed: int, bound: int):
-    rng = random.Random(seed)
-    n_data = bound
-    depth = 12
-    bad = 0
-    for _ in range(n_data):
-        gog = oracle.random_gog(rng)
-        m = invariants.m_gamma(gog)
-        g = counting.g_series(gog, depth)
-        f = counting.f_series(gog, depth)
-        for lam in range(1, depth + 1):
-            lhs = sum(g[u] * f[lam - u - 1] for u in range(lam))
-            if lhs != m * lam * g[lam]:
-                bad += 1
-                break
-    yield (
-        f"convolution-identity ({n_data} random data, depth {depth}, seed {seed})",
-        bad == 0,
-        f"{bad} failures",
-    )
-
-
-def suite_ode(seed: int, bound: int):
-    dihedral, f2, _ = _std_data()
-    data = oracle.exhaustive_rank2_shapes(min(bound, 8)) + [dihedral, f2]
-    bad = 0
-    for gog in data:
-        th = counting.theta_coeffs(gog)
-        g = counting.g_series(gog, 30)
-        if not counting.ode_check(g, th, invariants.m_gamma(gog)):
-            bad += 1
-    yield (
-        f"ode-recurrence ({len(data)} data, 30 terms)",
-        bad == 0,
-        f"{bad} failures",
-    )
-    th = counting.theta_coeffs(dihedral)
-    yield ("ode-dihedral-coefficients (1, 2)", th.theta == (1, 2), f"got {th.theta}")
-
-
-def suite_parity(seed: int, bound: int):
-    from .gog import build_gog
-
-    _, _, c2c3 = _std_data()
-    n = bound
-    cases = [
-        ("iii-{2,3}-odd-S", c2c3, "iii", {"m": 6, "S": 1}),
-        (
-            "iii-{2,4}-odd-S",
-            build_gog({"a": 2, "b": 4}, [("s", "a", "b", 1)]),
-            "iii",
-            {"m": 4, "S": 1},
-        ),
-        (
-            "ii-constant",
-            build_gog({"v": 2}, [("p", "v", "v", 2), ("q", "v", "v", 2)]),
-            "ii",
-            {"m": 2},
-        ),
-        (
-            "i-constant",
-            build_gog({"v": 2}, [("p", "v", "v", 1)]),
-            "i",
-            {"m": 2},
-        ),
-    ]
-    for name, gog, label, params in cases:
-        actual = counting.parity_profile(counting.f_series(gog, n))
-        predicted = counting.predicted_parity(label, params, n)
-        yield (f"parity-{name} ({n} terms)", actual == predicted, "profile mismatch")
-
-
-def suite_growth(seed: int, bound: int):
-    n = bound
-    rank2 = [
-        gog
-        for gog in oracle.exhaustive_rank2_shapes(8)
-        if invariants.free_rank(gog) == 2
-    ]
-    bad = 0
-    triple_c2_seen = False
-    for gog in rank2:
-        ngog, _ = normalize(gog)
-        if counting.is_triple_c2_shape(ngog):
-            triple_c2_seen = True
-            # the bound genuinely fails at the first step for this datum
-            if counting.growth_check(gog, n, start=1):
-                bad += 1
-            if not counting.growth_check(gog, n, start=2):
-                bad += 1
-        elif not counting.growth_check(gog, n, start=1):
-            bad += 1
-    yield (
-        f"growth-bound ({len(rank2)} rank-2 data, lambda <= {n})",
-        bad == 0 and triple_c2_seen,
-        f"{bad} failures; triple-C2 exceptional case "
-        f"{'seen' if triple_c2_seen else 'missing'}",
-    )
-
-
-def suite_oracle(seed: int, bound: int):
-    _, f2, _ = _std_data()
-    n = min(bound, 5)
-    from .gog import build_gog
-
-    expected = oracle.free_group_subgroup_counts(2, n)
-    got = counting.f_series(f2, n)
-    yield (f"oracle-free-rank-2 (index <= {n})", expected == got, f"{expected} vs {got}")
-
-    f3 = build_gog(
-        {"v": 1},
-        [("p", "v", "v", 1), ("q", "v", "v", 1), ("r", "v", "v", 1)],
-    )
-    n3 = min(bound, 4)
-    expected3 = oracle.free_group_subgroup_counts(3, n3)
-    got3 = counting.f_series(f3, n3)
-    yield (
-        f"oracle-free-rank-3 (index <= {n3})",
-        expected3 == got3,
-        f"{expected3} vs {got3}",
-    )
-
-    rng = random.Random(seed)
-    trees = 200
-    bad = 0
-    for _ in range(trees):
-        graph = oracle.random_tree_graph(rng, 10)
-        tree = spanning_tree(graph, graph.vertices[0])
-        v0 = rng.choice(graph.vertices)
-        if not oracle.orientation_uniqueness(tree, v0):
-            bad += 1
-    yield (
-        f"oracle-orientation-uniqueness ({trees} trees, seed {seed})",
-        bad == 0,
-        f"{bad} failures",
-    )
-
-
-SUITES = {
-    "convolution": (suite_convolution, 100),
-    "ode": (suite_ode, 8),
-    "parity": (suite_parity, 64),
-    "growth": (suite_growth, 25),
-    "oracle": (suite_oracle, 5),
-}
 
 
 def cmd_verify(args) -> int:

@@ -1,0 +1,144 @@
+"""Property suites shared by `vfree verify` and the acceptance criteria.
+
+Each suite is a generator fn(seed, bound) yielding (property, ok, detail),
+one triple per property; `bound` sizes the suite (data, terms or index).
+The checks re-derive each property from the counting series and the brute
+force oracles. They never call the library's own predictors
+(`growth_check`, `predicted_parity`), so a check never compares a helper
+with itself.
+"""
+
+from __future__ import annotations
+
+import math
+import random
+
+from . import counting, invariants, oracle
+from .gog import build_gog
+from .graph import spanning_tree
+from .normalize import normalize
+
+
+def _bouquet(r: int):
+    return build_gog({"v": 1}, [(e, "v", "v", 1) for e in "pqr"[:r]])
+
+
+def suite_convolution(seed: int, bound: int):
+    rng = random.Random(seed)
+    n_data = bound
+    depth = 12
+    bad = 0
+    for _ in range(n_data):
+        gog = oracle.random_gog(rng)
+        m = invariants.m_gamma(gog)
+        g = counting.g_series(gog, depth)
+        f = counting.f_series(gog, depth)
+        for lam in range(1, depth + 1):
+            lhs = sum(g[u] * f[lam - u - 1] for u in range(lam))
+            if lhs != m * lam * g[lam]:
+                bad += 1
+                break
+    yield (
+        f"convolution-identity ({n_data} random data, depth {depth}, seed {seed})",
+        bad == 0,
+        f"{bad} failures",
+    )
+
+
+def suite_ode(seed: int, bound: int):
+    dihedral = build_gog({"a": 2, "b": 2}, [("s", "a", "b", 1)])
+    data = oracle.exhaustive_rank2_shapes(min(bound, 8)) + [dihedral, _bouquet(2)]
+    bad = 0
+    for gog in data:
+        th = counting.theta_coeffs(gog)
+        g = counting.g_series(gog, 30)
+        if not counting.ode_check(g, th, invariants.m_gamma(gog)):
+            bad += 1
+    yield (
+        f"ode-recurrence ({len(data)} data, 30 terms)",
+        bad == 0,
+        f"{bad} failures",
+    )
+    th = counting.theta_coeffs(dihedral)
+    yield ("ode-dihedral-coefficients (1, 2)", th.theta == (1, 2), f"got {th.theta}")
+
+
+def suite_parity(seed: int, bound: int):
+    n = bound
+    # odd exactly where lambda + 1 is a power of two
+    alternating = [((lam + 1) & lam) == 0 for lam in range(1, n + 1)]
+    even = [False] * n
+    cases = [
+        ("iii-{2,3}-odd-S", {"a": 2, "b": 3}, [("s", "a", "b", 1)], alternating),
+        ("iii-{2,4}-odd-S", {"a": 2, "b": 4}, [("s", "a", "b", 1)], alternating),
+        ("ii-constant", {"v": 2}, [("p", "v", "v", 2), ("q", "v", "v", 2)], even),
+        ("i-constant", {"v": 2}, [("p", "v", "v", 1)], even),
+    ]
+    for name, vertices, edges, expected in cases:
+        f = counting.f_series(build_gog(vertices, edges), n)
+        actual = counting.parity_profile(f)
+        yield (f"parity-{name} ({n} terms)", actual == expected, "profile mismatch")
+
+
+def suite_growth(seed: int, bound: int):
+    n = bound
+    rank2 = [
+        gog
+        for gog in oracle.exhaustive_rank2_shapes(8)
+        if invariants.free_rank(gog) == 2
+    ]
+    bad = exceptional = 0
+    for gog in rank2:
+        m = invariants.m_gamma(gog)
+        f = counting.f_series(gog, n + 1)
+        holds = [
+            f[lam] - f[lam - 1] >= m * math.factorial(lam + 1)
+            for lam in range(1, n + 1)
+        ]
+        if counting.is_triple_c2_shape(normalize(gog)[0]):
+            exceptional += 1
+            # the bound genuinely fails at lambda = 1 for this datum only
+            ok = not holds[0] and all(holds[1:])
+        else:
+            ok = all(holds)
+        bad += not ok
+    yield (
+        f"growth-bound ({len(rank2)} rank-2 data, lambda <= {n})",
+        bad == 0 and exceptional == 1,
+        f"{bad} failures; {exceptional} triple-C2 exceptional cases, want 1",
+    )
+
+
+def suite_oracle(seed: int, bound: int):
+    for r, n in ((2, min(bound, 5)), (3, min(bound, 4))):
+        expected = oracle.free_group_subgroup_counts(r, n)
+        got = counting.f_series(_bouquet(r), n)
+        yield (
+            f"oracle-free-rank-{r} (index <= {n})",
+            expected == got,
+            f"{expected} vs {got}",
+        )
+
+    rng = random.Random(seed)
+    trees = 200
+    bad = 0
+    for _ in range(trees):
+        graph = oracle.random_tree_graph(rng, 10)
+        tree = spanning_tree(graph, graph.vertices[0])
+        v0 = rng.choice(graph.vertices)
+        if not oracle.orientation_uniqueness(tree, v0):
+            bad += 1
+    yield (
+        f"oracle-orientation-uniqueness ({trees} trees, seed {seed})",
+        bad == 0,
+        f"{bad} failures",
+    )
+
+
+SUITES = {
+    "convolution": (suite_convolution, 100),
+    "ode": (suite_ode, 8),
+    "parity": (suite_parity, 64),
+    "growth": (suite_growth, 25),
+    "oracle": (suite_oracle, 5),
+}

@@ -4,6 +4,8 @@ Every check is an equality or a proven inequality (tolerance zero). The
 500-datum random corpus is generated once per session from a fixed seed.
 """
 
+import ast
+import inspect
 import math
 import random
 from fractions import Fraction
@@ -11,43 +13,25 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
-    c2_star_c3,
     dihedral,
-    free_bouquet,
     hnn_loop,
     invariant_signature,
-    segment,
     terminal_data_all_orders,
     trivial_tree_half_edges,
 )
+from vfree import properties
 from vfree.classify import Label, classify, largeness_report
-from vfree.counting import (
-    f_series,
-    f_series_rank2,
-    g_series,
-    is_triple_c2_shape,
-    ode_check,
-    parity_profile,
-    theta_coeffs,
-)
-from vfree.gog import build_gog
+from vfree.counting import f_series, f_series_rank2, g_series
 from vfree.graph import spanning_tree
 from vfree.invariants import (
     check_edge_bound,
     euler_char,
     euler_from_type,
     free_rank,
-    m_gamma,
     type_vector,
 )
 from vfree.normalize import normalize
-from vfree.oracle import (
-    exhaustive_rank2_shapes,
-    free_group_subgroup_counts,
-    orientation_uniqueness,
-    random_gog,
-    random_tree_graph,
-)
+from vfree.oracle import exhaustive_rank2_shapes, free_group_subgroup_counts, random_gog
 
 RANDOM_SEED = 20240
 RANDOM_COUNT = 500
@@ -55,6 +39,26 @@ RANDOM_COUNT = 500
 
 def report(n: int, text: str) -> None:
     print(f"PASS criterion {n}: {text}")
+
+
+def holds(suite: str, seed: int, bound: int) -> list[str]:
+    """Run a registry suite, assert every property holds, return their names."""
+    fn, _ = properties.SUITES[suite]
+    results = list(fn(seed, bound))
+    assert [(prop, detail) for prop, ok, detail in results if not ok] == []
+    return [prop for prop, _, _ in results]
+
+
+def test_registry_never_calls_the_predictors():
+    # criteria 3 and 4 re-derive parity and growth; calling the library's
+    # own predictors would check a helper against itself
+    names = {
+        getattr(node, field)
+        for node in ast.walk(ast.parse(inspect.getsource(properties)))
+        for field in ("id", "attr", "name", "value")
+        if isinstance(getattr(node, field, None), str)
+    }
+    assert not names & {"growth_check", "predicted_parity"}
 
 
 @pytest.fixture(scope="session")
@@ -72,21 +76,20 @@ def normalized_corpus(random_corpus):
 
 
 @pytest.fixture(scope="session")
-def shapes8():
-    return exhaustive_rank2_shapes(8)
-
-
-@pytest.fixture(scope="session")
 def shapes12():
     return exhaustive_rank2_shapes(12)
 
 
+ORACLE_PROPERTIES = [
+    "oracle-free-rank-2 (index <= 5)",
+    "oracle-free-rank-3 (index <= 4)",
+    f"oracle-orientation-uniqueness (200 trees, seed {RANDOM_SEED})",
+]
+
+
 def test_criterion_01_free_group_oracle_equivalence():
-    expected2 = free_group_subgroup_counts(2, 5)
-    assert expected2 == [1, 3, 13, 71, 461]
-    assert f_series(free_bouquet(2), 5) == expected2
-    expected3 = free_group_subgroup_counts(3, 4)
-    assert f_series(free_bouquet(3), 4) == expected3
+    assert free_group_subgroup_counts(2, 5) == [1, 3, 13, 71, 461]
+    assert holds("oracle", RANDOM_SEED, 5) == ORACLE_PROPERTIES
     report(1, "rank-2 and rank-3 free-group counts match the enumeration oracle")
 
 
@@ -100,38 +103,18 @@ def test_criterion_02_rank1_constant_counts():
 
 
 def test_criterion_03_parity_theorem():
-    odd_positions = {1, 3, 7, 15, 31, 63}
-    for gog in (c2_star_c3(), segment(2, 1, 4)):
-        profile = parity_profile(f_series(gog, 64))
-        assert {k for k, odd in enumerate(profile, 1) if odd} == odd_positions
-    for gog in (
-        build_gog({"v": 2}, [("p", "v", "v", 2), ("q", "v", "v", 2)]),
-        hnn_loop(2, 1),
-    ):
-        profile = parity_profile(f_series(gog, 64))
-        assert len(set(profile)) == 1
-    report(3, "odd counts exactly at 2^k - 1 for the alternating classes; constant otherwise")
+    assert holds("parity", 0, 64) == [
+        "parity-iii-{2,3}-odd-S (64 terms)",
+        "parity-iii-{2,4}-odd-S (64 terms)",
+        "parity-ii-constant (64 terms)",
+        "parity-i-constant (64 terms)",
+    ]
+    report(3, "odd counts exactly at 2^k - 1 for the alternating classes; all even otherwise")
 
 
-def test_criterion_04_growth_theorem(shapes8):
-    rank2 = [g for g in shapes8 if free_rank(g) == 2]
-    assert rank2
-    exceptional = 0
-    for gog in rank2:
-        m = m_gamma(gog)
-        f = f_series(gog, 26)
-        deltas_ok = [
-            f[lam] - f[lam - 1] >= m * math.factorial(lam + 1)
-            for lam in range(1, 26)
-        ]
-        if is_triple_c2_shape(normalize(gog)[0]):
-            exceptional += 1
-            assert not deltas_ok[0]  # fails at lambda = 1
-            assert all(deltas_ok[1:])  # holds for 2 <= lambda <= 25
-        else:
-            assert all(deltas_ok)
-    assert exceptional == 1
-    report(4, f"growth bound on {len(rank2)} rank-2 data, with the triple-C2 exception")
+def test_criterion_04_growth_theorem():
+    assert holds("growth", 0, 25) == ["growth-bound (30 rank-2 data, lambda <= 25)"]
+    report(4, "growth bound on 30 rank-2 data, with the triple-C2 exception")
 
 
 def test_criterion_05_normalization_invariance(random_corpus, normalized_corpus):
@@ -165,13 +148,12 @@ def test_criterion_06_edge_bound(normalized_corpus):
     report(6, f"half-edge count <= 2*mu on all {RANDOM_COUNT} normalized data")
 
 
-def test_criterion_07_ode_consistency(shapes8):
-    data = list(shapes8) + [dihedral(), free_bouquet(2)]
-    for gog in data:
-        th = theta_coeffs(gog)
-        assert ode_check(g_series(gog, 30), th, m_gamma(gog))
-    assert theta_coeffs(dihedral()).theta == (1, 2)
-    report(7, f"ODE recurrence holds to 30 terms on {len(data)} data; dihedral theta = (1, 2)")
+def test_criterion_07_ode_consistency():
+    assert holds("ode", 0, 8) == [
+        "ode-recurrence (642 data, 30 terms)",
+        "ode-dihedral-coefficients (1, 2)",
+    ]
+    report(7, "ODE recurrence holds to 30 terms on 642 data; dihedral theta = (1, 2)")
 
 
 def test_criterion_08_type_euler_identity(random_corpus):
@@ -213,10 +195,5 @@ def test_criterion_10_largeness_equivalence(random_corpus, normalized_corpus):
 
 
 def test_criterion_11_tree_orientation_uniqueness():
-    rng = random.Random(RANDOM_SEED)
-    for _ in range(200):
-        graph = random_tree_graph(rng, 10)
-        tree = spanning_tree(graph, graph.vertices[0])
-        v0 = rng.choice(graph.vertices)
-        assert orientation_uniqueness(tree, v0)
+    assert holds("oracle", RANDOM_SEED, 5) == ORACLE_PROPERTIES
     report(11, "orientation uniqueness on 200 random trees")

@@ -3,6 +3,7 @@ import sys
 import pytest
 
 from helpers import free_bouquet
+from vfree import counting, oracle
 from vfree.cli import main
 from vfree.gog import serialize_gog
 
@@ -82,6 +83,11 @@ class TestCount:
         assert [line.split()[0] for line in lines] == [str(i) for i in range(1, 61)]
         assert len(lines[49].split()[1]) > 4300
         assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+    @pytest.mark.parametrize("text", ["", "# only a comment\n\n  # indented\n"])
+    def test_empty_file_is_typed_error(self, gog_file, capsys, text):
+        code, out, err = run(capsys, "count", gog_file(text))
+        assert (code, out, err) == (1, "", "Empty: graph has no vertices\n")
 
     def test_terms_cap(self, gog_file, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -212,6 +218,22 @@ class TestLargeness:
         assert exc.value.code == 2
 
 
+def first_count_plus_one(f_series):
+    def rigged(gog, N):
+        f = f_series(gog, N)
+        return [f[0] + 1] + f[1:]
+
+    return rigged
+
+
+def one_g_term_doubled(g_series):
+    def rigged(gog, N):
+        g = g_series(gog, N)
+        return g[:1] + [2 * g[1]] + g[2:]
+
+    return rigged
+
+
 class TestVerify:
     def test_parity_suite_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "parity", "--bound", "16")
@@ -223,6 +245,23 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "oracle", "--bound", "4")
         assert code == 0
         assert "FAIL" not in out
+
+    def test_all_at_bound_1(self, capsys):
+        code, out, _ = run(capsys, "verify", "all", "--seed", "3", "--bound", "1")
+        assert code == 0
+        assert out.splitlines() == [
+            "PASS convolution-identity (1 random data, depth 12, seed 3)",
+            "PASS ode-recurrence (5 data, 30 terms)",
+            "PASS ode-dihedral-coefficients (1, 2)",
+            "PASS parity-iii-{2,3}-odd-S (1 terms)",
+            "PASS parity-iii-{2,4}-odd-S (1 terms)",
+            "PASS parity-ii-constant (1 terms)",
+            "PASS parity-i-constant (1 terms)",
+            "PASS growth-bound (30 rank-2 data, lambda <= 1)",
+            "PASS oracle-free-rank-2 (index <= 1)",
+            "PASS oracle-free-rank-3 (index <= 1)",
+            "PASS oracle-orientation-uniqueness (200 trees, seed 3)",
+        ]
 
     @pytest.mark.parametrize("bound", ["0", "-1", "201"])
     def test_bound_cap(self, capsys, bound):
@@ -247,6 +286,30 @@ class TestVerify:
         assert code == 3
         assert "FAIL rigged-check: forced failure" in out
 
+    # each suite fails once the function it checks is perturbed
+    @pytest.mark.parametrize(
+        "suite, module, name, rig, failing",
+        [
+            ("convolution", counting, "f_series", first_count_plus_one,
+             "convolution-identity"),
+            ("parity", counting, "f_series", first_count_plus_one, "parity-"),
+            ("growth", counting, "f_series", first_count_plus_one, "growth-bound"),
+            ("oracle", counting, "f_series", first_count_plus_one,
+             "oracle-free-rank-"),
+            ("ode", counting, "g_series", one_g_term_doubled, "ode-recurrence"),
+            ("oracle", oracle, "orientation_uniqueness", lambda fn: lambda *a: False,
+             "oracle-orientation-uniqueness"),
+        ],
+        ids=["convolution", "parity", "growth", "oracle-counts", "ode", "oracle-trees"],
+    )
+    def test_perturbed_property_fails(
+        self, capsys, monkeypatch, suite, module, name, rig, failing
+    ):
+        monkeypatch.setattr(module, name, rig(getattr(module, name)))
+        code, out, _ = run(capsys, "verify", suite, "--bound", "3")
+        assert code == 3
+        assert any(line.startswith(f"FAIL {failing}") for line in out.splitlines())
+
 
 class TestDeterminism:
     def test_byte_identical_reruns(self, gog_file, capsys):
@@ -256,3 +319,4 @@ class TestDeterminism:
             code, out, err = run(capsys, "invariants", path)
             results.append((code, out, err))
         assert results[0] == results[1]
+

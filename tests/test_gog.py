@@ -5,16 +5,19 @@ from helpers import dihedral, free_bouquet, small_gogs
 from vfree.errors import (
     DanglingVertexRef,
     DivisibilityViolation,
+    EmptyGraph,
     GogSyntaxError,
+    NotNormalized,
 )
 from vfree.gog import (
     GraphOfGroups,
+    NormalizedGog,
     build_gog,
     parse_gog,
     serialize_gog,
     validate,
 )
-from vfree.graph import build_graph
+from vfree.graph import build_graph, spanning_tree
 
 DIHEDRAL_TEXT = "vertex a 2\nvertex b 2\nedge s a b 1\n"
 F2_TEXT = "vertex v 1\nedge p v v 1\nedge q v v 1\n"
@@ -101,9 +104,21 @@ class TestValidate:
         gog = GraphOfGroups(build_graph([], []), {}, {})
         assert validate(gog).code == "Empty"
 
+    def test_build_empty_raises(self):
+        with pytest.raises(EmptyGraph):
+            build_gog({}, [])
+
     def test_not_connected(self):
         gog = GraphOfGroups(build_graph(["a", "b"], []), {"a": 1, "b": 1}, {})
         assert validate(gog).code == "NotConnected"
+
+
+class TestNormalizedGog:
+    def test_onto_tree_edge_raises(self):
+        # the order-2 edge group fills the order-2 terminus: a trivial tree edge
+        gog = build_gog({"a": 2, "b": 2}, [("s", "a", "b", 2)])
+        with pytest.raises(NotNormalized):
+            NormalizedGog(gog, spanning_tree(gog.graph, "a"))
 
 
 class TestSerialize:
