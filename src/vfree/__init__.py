@@ -17,7 +17,6 @@ from .classify import (
     largeness_report,
 )
 from .counting import (
-    ThetaCoeffs,
     f_series,
     f_series_rank2,
     g_series,
@@ -77,7 +76,6 @@ __all__ = [
     "NormalizedGog",
     "Orientation",
     "SpanningTree",
-    "ThetaCoeffs",
     "TypeVector",
     "ValidationReport",
     "VfreeError",

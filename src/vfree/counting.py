@@ -23,13 +23,22 @@ coefficients theta_0..theta_mu computable from the type data alone;
 ode_check confirms g against that ODE independently of the ratio above.
 All arithmetic is exact; g_l is a Fraction and f_l an arbitrary-precision
 integer.
+
+f is solved over the D-scaled integers: with D the lcm of the reduced
+denominators of g_0..g_N and a_l = g_l * D, an int, step l computes
+
+    D * f_l = m * l * a_l - sum_{u=1}^{l-1} a_u * f_{l-u}
+
+and divides by D, so the quadratic loop builds no Fraction and takes no
+gcd. The division is exact for every genuine datum; a remainder means
+corrupted order data, and it raises NonIntegralCount rather than being
+truncated into a wrong count.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -43,13 +52,6 @@ from .errors import (
 from .gog import GraphOfGroups, NormalizedGog, check_valid
 from .invariants import free_rank, m_gamma, type_vector
 from .normalize import normalize
-
-
-@dataclass(frozen=True)
-class ThetaCoeffs:
-    """Integer ODE coefficients theta_0..theta_mu."""
-
-    theta: tuple[int, ...]
 
 
 def g_series(gog: GraphOfGroups, N: int) -> list[Fraction]:
@@ -91,22 +93,24 @@ def f_series(gog: GraphOfGroups, N: int) -> list[int]:
     g = g_series(gog, N)
     m = m_gamma(gog)
     mu = free_rank(gog)
+    D = math.lcm(*(q.denominator for q in g))
+    a = [q.numerator * (D // q.denominator) for q in g]
     f: list[int] = []
     for lam in range(1, N + 1):
-        val = m * lam * g[lam]
+        val = m * lam * a[lam]
         for u in range(1, lam):
-            val -= g[u] * f[lam - u - 1]
-        if val.denominator != 1:
-            raise NonIntegralCount(f"f_{lam} = {val} is not an integer")
-        n = int(val)
+            val -= a[u] * f[lam - u - 1]
+        n, rem = divmod(val, D)
+        if rem:
+            raise NonIntegralCount(f"f_{lam} = {Fraction(val, D)} is not an integer")
         if n < 0 or (mu >= 1 and n == 0):
             raise NonPositiveCount(f"f_{lam} = {n} with free rank {mu}")
         f.append(n)
     return f
 
 
-def theta_coeffs(gog: GraphOfGroups) -> ThetaCoeffs:
-    """ODE coefficients theta_0..theta_mu from the type data.
+def theta_coeffs(gog: GraphOfGroups) -> tuple[int, ...]:
+    """Integer ODE coefficients theta_0..theta_mu from the type data.
 
     theta_u = (1/u!) * sum_{j=0}^{u} (-1)^(u-j) * C(u,j) * m * (j+1)
               * prod_{k=1}^{m} (j*m + k)^zeta_{gcd(m,k)}.
@@ -147,10 +151,10 @@ def theta_coeffs(gog: GraphOfGroups) -> ThetaCoeffs:
                 f"theta_{u} = {Fraction(work[0], factorial)} is not an integer"
             )
         theta.append(int(val))
-    return ThetaCoeffs(theta=tuple(theta))
+    return tuple(theta)
 
 
-def ode_check(g: list[Fraction], theta: ThetaCoeffs, m: int) -> bool:
+def ode_check(g: list[Fraction], theta: tuple[int, ...], m: int) -> bool:
     """Check that g satisfies the coefficient recurrence of the ODE.
 
     With G(z) = sum g_l z^l, the relation
@@ -167,11 +171,10 @@ def ode_check(g: list[Fraction], theta: ThetaCoeffs, m: int) -> bool:
     l representable in the given truncation; both sides are compared
     cross-multiplied by the two denominators, in integers.
     """
-    th = theta.theta
     for lam in range(len(g) - 1):
         total = 0
         falling = 1
-        for u, coeff in enumerate(th):
+        for u, coeff in enumerate(theta):
             if u > 0:
                 falling *= lam - (u - 1)
             if falling == 0:

@@ -60,7 +60,7 @@ def suite_ode(seed: int, bound: int):
         f"{bad} failures",
     )
     th = counting.theta_coeffs(dihedral)
-    yield ("ode-dihedral-coefficients (1, 2)", th.theta == (1, 2), f"got {th.theta}")
+    yield ("ode-dihedral-coefficients (1, 2)", th == (1, 2), f"got {th}")
 
 
 def suite_parity(seed: int, bound: int):

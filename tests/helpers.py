@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from vfree import build_gog
 from vfree.counting import f_series, g_series
+from vfree.errors import NonIntegralCount, NonPositiveCount
 from vfree.gog import GraphOfGroups
 from vfree.graph import spanning_tree
 from vfree.invariants import euler_char, free_rank, m_gamma, type_vector
@@ -112,6 +113,30 @@ def same_values(g: list[Fraction], pairs: list[tuple[int, int]]) -> bool:
     return len(g) == len(pairs) and all(
         x.numerator * den == num * x.denominator for x, (num, den) in zip(g, pairs)
     )
+
+
+def f_series_fractions(gog: GraphOfGroups, N: int) -> list[int]:
+    """f_1..f_N by the convolution against g_0..g_N in Fractions.
+
+    The reference for the integer kernel of ``f_series``: every
+    multiply-subtract here is a reduced Fraction, so it shares neither the
+    common denominator nor the scaled numerators.
+    """
+    g = g_series(gog, N)
+    m = m_gamma(gog)
+    mu = free_rank(gog)
+    f: list[int] = []
+    for lam in range(1, N + 1):
+        val = m * lam * g[lam]
+        for u in range(1, lam):
+            val -= g[u] * f[lam - u - 1]
+        if val.denominator != 1:
+            raise NonIntegralCount(f"f_{lam} = {val} is not an integer")
+        n = int(val)
+        if n < 0 or (mu >= 1 and n == 0):
+            raise NonPositiveCount(f"f_{lam} = {n} with free rank {mu}")
+        f.append(n)
+    return f
 
 
 # --- reference normalization ----------------------------------------------------

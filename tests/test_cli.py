@@ -1,4 +1,8 @@
+import hashlib
+import importlib.util
+import json
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +21,17 @@ BIG = (
     "vertex a 12\nvertex b 8\nvertex c 6\n"
     "edge x a b 4\nedge y b c 2\nedge z a c 1\n"
 )
+
+# the benchmark's count-series argvs and the SHA-256 of each stdout
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location(
+    "perfbench_workloads", ROOT / "perfbench" / "workloads.py"
+)
+workloads = importlib.util.module_from_spec(_spec)
+sys.modules[_spec.name] = workloads  # its dataclasses look their module up
+_spec.loader.exec_module(workloads)
+COUNT_ARGVS = workloads.count_argvs(ROOT)
+COUNT_DIGESTS = json.loads((workloads.EXPECTED / "digests.json").read_text())
 
 
 @pytest.fixture
@@ -320,3 +335,10 @@ class TestDeterminism:
             results.append((code, out, err))
         assert results[0] == results[1]
 
+    @pytest.mark.parametrize("name", sorted(COUNT_ARGVS))
+    def test_benchmark_count_outputs(self, capsys, monkeypatch, name):
+        # the argvs name their inputs relative to the checkout root
+        monkeypatch.chdir(ROOT)
+        code, out, err = run(capsys, *COUNT_ARGVS[name])
+        assert code == COUNT_DIGESTS[name]["rc"]
+        assert hashlib.sha256(out.encode()).hexdigest() == COUNT_DIGESTS[name]["sha256"]

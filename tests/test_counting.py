@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -8,17 +9,19 @@ from helpers import (
     c2_star_c3,
     dihedral,
     double_edge,
+    f_series_fractions,
     free_bouquet,
     g_closed_form,
     hnn_loop,
     same_values,
+    seeded_random_data,
     segment,
     segment_with_loop,
     small_gogs,
     triple_c2,
 )
+from vfree import counting
 from vfree.counting import (
-    ThetaCoeffs,
     f_series,
     f_series_rank2,
     g_series,
@@ -29,8 +32,14 @@ from vfree.counting import (
     predicted_parity,
     theta_coeffs,
 )
-from vfree.errors import MissingParam, UnknownClass, WrongRank
-from vfree.gog import build_gog
+from vfree.errors import (
+    MissingParam,
+    NonIntegralCount,
+    NonPositiveCount,
+    UnknownClass,
+    WrongRank,
+)
+from vfree.gog import build_gog, parse_gog
 from vfree.invariants import m_gamma
 from vfree.normalize import normalize
 from vfree.oracle import exhaustive_rank2_shapes
@@ -96,6 +105,29 @@ class TestFSeries:
         assert f_series(hnn_loop(6, 6), 12) == [6] * 12
         assert f_series(segment(6, 3, 6), 12) == [3] * 12
 
+    @pytest.mark.parametrize(
+        "g2,error,message",
+        [
+            # f_2 = 2 * g_2 - g_1 * f_1 on F2, where m = 1 and g = 1, 1, 2, ...
+            (Fraction(9, 4), NonIntegralCount,
+             "NonIntegralCount: f_2 = 7/2 is not an integer"),
+            (Fraction(0), NonPositiveCount,
+             "NonPositiveCount: f_2 = -1 with free rank 2"),
+        ],
+    )
+    def test_corrupted_g_is_a_typed_error(self, monkeypatch, g2, error, message):
+        real = counting.g_series
+
+        def perturbed(gog, N):
+            g = real(gog, N)
+            g[2] = g2
+            return g
+
+        monkeypatch.setattr(counting, "g_series", perturbed)
+        with pytest.raises(error) as exc:
+            f_series(free_bouquet(2), 4)
+        assert str(exc.value) == message
+
     @given(small_gogs())
     @settings(max_examples=50, deadline=None)
     def test_convolution_identity(self, gog):
@@ -115,16 +147,56 @@ class TestFSeries:
         assert g_series(gog, 10) == g_series(ngog.gog, 10)
 
 
+INPUTS = Path(__file__).resolve().parent.parent / "perfbench" / "inputs"
+# the benchmark's rank-2 count inputs with their recurrence class
+RANK2_INPUTS = {
+    "f2.gog": ("ii", {"m": 1}),
+    "c2c3.gog": ("iii", {"m": 6, "S": 1}),
+    "c2c4.gog": ("iii", {"m": 4, "S": 1}),
+    "c2c2c2.gog": ("v", {"m": 2}),
+    "am64.gog": ("iii", {"m": 12, "S": 2}),
+}
+BIG = build_gog(
+    {"a": 12, "b": 8, "c": 6},
+    [("x", "a", "b", 4), ("y", "b", "c", 2), ("z", "a", "c", 1)],
+)
+
+
+class TestIntegerKernel:
+    """The int convolution over one common denominator against the same
+    convolution in reduced Fractions, and against the rank-2 recurrences."""
+
+    def test_order8_shapes(self):
+        for gog in exhaustive_rank2_shapes(8):
+            assert f_series(gog, 30) == f_series_fractions(gog, 30)
+
+    def test_random_data(self):
+        for gog in seeded_random_data(20240, 100):
+            assert f_series(gog, 30) == f_series_fractions(gog, 30)
+
+    @pytest.mark.parametrize("gog", [free_bouquet(2), BIG], ids=["f2", "big"])
+    def test_integral_g(self, gog):
+        # g is integral, so the common denominator is 1
+        assert all(q.denominator == 1 for q in g_series(gog, 40))
+        assert f_series(gog, 40) == f_series_fractions(gog, 40)
+
+    @pytest.mark.parametrize("name", sorted(RANK2_INPUTS))
+    def test_benchmark_rank2_inputs(self, name):
+        label, params = RANK2_INPUTS[name]
+        gog = parse_gog((INPUTS / name).read_text(encoding="utf-8"))
+        assert f_series(gog, 200) == f_series_rank2(label, params, 200)
+
+
 class TestTheta:
     def test_dihedral_coefficients(self):
-        assert theta_coeffs(dihedral()).theta == (1, 2)
+        assert theta_coeffs(dihedral()) == (1, 2)
 
     def test_rank_zero_datum_single_coefficient(self):
-        assert theta_coeffs(build_gog({"v": 5}, [])).theta == (1,)
+        assert theta_coeffs(build_gog({"v": 5}, [])) == (1,)
 
     def test_length_is_rank_plus_one(self):
-        assert len(theta_coeffs(free_bouquet(2)).theta) == 3
-        assert len(theta_coeffs(c2_star_c3()).theta) == 3
+        assert len(theta_coeffs(free_bouquet(2))) == 3
+        assert len(theta_coeffs(c2_star_c3())) == 3
 
     @given(small_gogs())
     @settings(max_examples=40, deadline=None)
@@ -135,7 +207,7 @@ class TestTheta:
 
     def test_ode_check_rejects_corrupted_theta(self):
         g = g_series(dihedral(), 10)
-        assert not ode_check(g, ThetaCoeffs((1, 3)), 2)
+        assert not ode_check(g, (1, 3), 2)
 
     def test_ode_check_rejects_one_perturbed_term(self):
         # g_series never reads theta, so ode_check must catch a wrong g
