@@ -13,7 +13,6 @@ from .classify import (
     Label,
     LargenessReport,
     classify,
-    distinguish_rank1,
     largeness_report,
 )
 from .counting import (
@@ -23,18 +22,15 @@ from .counting import (
     growth_check,
     ode_check,
     parity_profile,
-    predicted_parity,
     theta_coeffs,
 )
 from .errors import VfreeError
 from .gog import (
     GraphOfGroups,
     NormalizedGog,
-    ValidationReport,
     build_gog,
     parse_gog,
     serialize_gog,
-    validate,
 )
 from .graph import (
     Graph,
@@ -77,14 +73,12 @@ __all__ = [
     "Orientation",
     "SpanningTree",
     "TypeVector",
-    "ValidationReport",
     "VfreeError",
     "build_gog",
     "build_graph",
     "check_edge_bound",
     "classify",
     "contract_edge",
-    "distinguish_rank1",
     "divisors",
     "euler_char",
     "euler_from_type",
@@ -105,12 +99,10 @@ __all__ = [
     "orientation_uniqueness",
     "parity_profile",
     "parse_gog",
-    "predicted_parity",
     "random_gog",
     "serialize_gog",
     "spanning_tree",
     "theta_coeffs",
     "totient",
     "type_vector",
-    "validate",
 ]

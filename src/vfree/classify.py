@@ -24,7 +24,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .counting import f_series
-from .errors import InconsistentReport, UnclassifiableShape, WrongRank
+from .errors import UnclassifiableShape
 from .gog import NormalizedGog
 from .invariants import TypeVector, euler_char, free_rank, type_vector
 
@@ -260,23 +260,3 @@ def largeness_report(ngog: NormalizedGog, N: int) -> LargenessReport:
         f_strictly_increasing_prefix=increasing,
         prefix_length=N,
     )
-
-
-def distinguish_rank1(a: ClassificationReport, b: ClassificationReport) -> bool:
-    """True iff two rank-1 reports name different classes.
-
-    The classes are separated by the type data: the loop class has every
-    zeta_k = 0, while the amalgam class has zeta_m = -1. Both facts are
-    re-checked against the reports' computed type vectors.
-    """
-    if a.rank != 1 or b.rank != 1:
-        raise WrongRank(f"ranks {a.rank}, {b.rank} are not both 1")
-    for rep in (a, b):
-        tv = rep.type_vector
-        if rep.label is Label.R1_I and any(tv.zeta.values()):
-            raise InconsistentReport(f"loop class with zeta {tv.zeta}")
-        if rep.label is Label.R1_II and tv.zeta[tv.m] != -1:
-            raise InconsistentReport(
-                f"amalgam class with zeta_{tv.m} = {tv.zeta[tv.m]}"
-            )
-    return a.label is not b.label

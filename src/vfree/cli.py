@@ -14,8 +14,8 @@ from fractions import Fraction
 
 from . import counting, invariants
 from .classify import classify, largeness_report
-from .errors import GogSyntaxError, VfreeError
-from .gog import parse_gog, parse_gog_structure, serialize_gog, validate
+from .errors import GogSyntaxError, InvalidGog, VfreeError
+from .gog import parse_gog, serialize_gog
 from .normalize import normalize
 from .properties import SUITES
 
@@ -38,14 +38,14 @@ def _read(path: str) -> str:
 
 
 def cmd_validate(args) -> int:
-    gog = parse_gog_structure(_read(args.file))
-    report = validate(gog)
-    if report.ok:
-        print("ok")
-        return 0
-    where = f" at {report.offender}" if report.offender else ""
-    print(f"error {report.code}{where}: {report.detail}", file=sys.stderr)
-    return 1
+    try:
+        parse_gog(_read(args.file))
+    except InvalidGog as exc:
+        where = f" at {exc.offender}" if exc.offender else ""
+        print(f"error {exc.code}{where}: {exc.message}", file=sys.stderr)
+        return 1
+    print("ok")
+    return 0
 
 
 def cmd_normalize(args) -> int:

@@ -49,7 +49,7 @@ from .errors import (
     UnknownClass,
     WrongRank,
 )
-from .gog import GraphOfGroups, NormalizedGog, check_valid
+from .gog import GraphOfGroups, NormalizedGog
 from .invariants import free_rank, m_gamma, type_vector
 from .normalize import normalize
 
@@ -61,7 +61,6 @@ def g_series(gog: GraphOfGroups, N: int) -> list[Fraction]:
     that ode_check remains an independent test of the result. Independent
     of the orientation, since edge orders agree on {e, bar(e)}.
     """
-    check_valid(gog)
     m = m_gamma(gog)
     net = Counter(gog.edge_order[e] for e in gog.graph.orientation_reps())
     net.subtract(gog.vertex_order.values())
@@ -121,7 +120,6 @@ def theta_coeffs(gog: GraphOfGroups) -> tuple[int, ...]:
     still negative contributes a reciprocal factor and the terms become
     rationals. Each final theta_u must be an integer.
     """
-    check_valid(gog)
     tv = type_vector(gog)
     m = tv.m
     mu = free_rank(gog)
@@ -238,31 +236,6 @@ def f_series_rank2(class_label: str, params: dict[str, int], N: int) -> list[int
 def parity_profile(f: list[int]) -> list[bool]:
     """True where f_l is odd."""
     return [x % 2 == 1 for x in f]
-
-
-def predicted_parity(class_label: str, params: dict[str, int], N: int) -> list[bool]:
-    """Predicted parity of f_1..f_N for a rank-2 class.
-
-    Classes iii (index pairs {2,3} and {2,4}) and v with odd amalgam order
-    are odd exactly at l = 1, 3, 7, 15, ... (l + 1 a power of two); every
-    other class is constant mod 2, with the constant read off f_1.
-    """
-    m, s = _rank2_inputs(class_label, params)
-
-    alternating = False
-    if class_label == "iii":
-        if s < 1 or m % s != 0 or m // s not in (3, 4, 6):
-            raise UnknownClass(f"class iii requires m/|S| in {{3, 4, 6}}, got m={m} S={s}")
-        alternating = m // s in (4, 6) and s % 2 == 1
-    elif class_label == "v":
-        if m % 2 != 0:
-            raise MissingParam(f"class v requires even m, got {m}")
-        alternating = (m // 2) % 2 == 1
-
-    if alternating:
-        return [((lam + 1) & lam) == 0 for lam in range(1, N + 1)]
-    f1_odd = f_series_rank2(class_label, params, 1)[0] % 2 == 1
-    return [f1_odd] * N
 
 
 def is_triple_c2_shape(ngog: NormalizedGog) -> bool:

@@ -38,10 +38,6 @@ class DanglingVertexRef(VfreeError):
 
 # --- graph operations -----------------------------------------------------
 
-class NotConnected(VfreeError):
-    code = "NotConnected"
-
-
 class UnknownRoot(VfreeError):
     code = "UnknownRoot"
 
@@ -52,16 +48,31 @@ class GogSyntaxError(VfreeError):
     code = "SyntaxError"
 
 
-class EdgeOrderNotSymmetric(VfreeError):
+class InvalidGog(VfreeError):
+    """A datum that violates a graph-of-groups condition; ``offender`` is
+    the half-edge at fault, or None."""
+
+    code = "InvalidGog"
+
+    def __init__(self, message: str = "", offender: str | None = None):
+        super().__init__(message)
+        self.offender = offender
+
+
+class EmptyGraph(InvalidGog):
+    code = "Empty"
+
+
+class EdgeOrderNotSymmetric(InvalidGog):
     code = "EdgeOrderNotSymmetric"
 
 
-class DivisibilityViolation(VfreeError):
+class DivisibilityViolation(InvalidGog):
     code = "DivisibilityViolation"
 
 
-class EmptyGraph(VfreeError):
-    code = "Empty"
+class NotConnected(InvalidGog):
+    code = "NotConnected"
 
 
 class NotNormalized(VfreeError):
@@ -112,10 +123,6 @@ class WrongRank(VfreeError):
 
 class UnclassifiableShape(VfreeError):
     code = "UnclassifiableShape"
-
-
-class InconsistentReport(VfreeError):
-    code = "InconsistentReport"
 
 
 # --- oracles ----------------------------------------------------------------

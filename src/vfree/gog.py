@@ -7,6 +7,12 @@ half-edge graph plus two order labellings. Edge orders are constant on
 {e, bar(e)} and must divide the orders at both endpoints, mirroring the
 embeddings of an edge group into its endpoint groups.
 
+Constructing a ``GraphOfGroups`` validates it: a datum that is empty,
+disconnected or breaks either order condition raises a subclass of
+``InvalidGog``, whose ``offender`` is the half-edge at fault (None when
+no single half-edge is). Every datum in hand is therefore valid, and no
+entry point re-checks it.
+
 Text format (UTF-8, line based, '#' starts a comment, blank lines ignored)::
 
     vertex <id> <order>
@@ -36,17 +42,15 @@ BAR_SUFFIX = "~"
 
 @dataclass(frozen=True)
 class GraphOfGroups:
+    """A nonempty connected half-edge graph with valid order labellings;
+    construction raises an ``InvalidGog`` subclass otherwise."""
+
     graph: Graph
     vertex_order: dict[str, int]
     edge_order: dict[str, int]
 
-
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    code: str | None = None
-    offender: str | None = None
-    detail: str = ""
+    def __post_init__(self) -> None:
+        check_valid(self)
 
 
 @dataclass(frozen=True)
@@ -71,21 +75,20 @@ class NormalizedGog:
                 )
 
 
-def validate(gog: GraphOfGroups) -> ValidationReport:
-    """Check the datum's invariants; report the first violation found.
-
-    Codes: Empty, EdgeOrderNotSymmetric, DivisibilityViolation, NotConnected.
-    """
+def check_valid(gog: GraphOfGroups) -> None:
+    """Raise the error of the first violated condition, checked in order:
+    EmptyGraph, EdgeOrderNotSymmetric, DivisibilityViolation, NotConnected.
+    The two edge-order errors name the offending half-edge."""
     g = gog.graph
     if not g.vertices:
-        return ValidationReport(False, "Empty", None, "graph has no vertices")
+        raise EmptyGraph("graph has no vertices")
 
     for e in g.half_edges:
         if gog.edge_order[e] != gog.edge_order[g.bar[e]]:
-            return ValidationReport(
-                False, "EdgeOrderNotSymmetric", e,
+            raise EdgeOrderNotSymmetric(
                 f"order({e}) = {gog.edge_order[e]} != "
                 f"order({g.bar[e]}) = {gog.edge_order[g.bar[e]]}",
+                offender=e,
             )
 
     for e in g.half_edges:
@@ -93,35 +96,23 @@ def validate(gog: GraphOfGroups) -> ValidationReport:
         for v in (g.origin[e], g.terminus[e]):
             n = gog.vertex_order[v]
             if s < 1 or n < 1 or n % s != 0:
-                return ValidationReport(
-                    False, "DivisibilityViolation", e,
+                raise DivisibilityViolation(
                     f"edge order {s} does not divide order {n} at vertex {v}",
+                    offender=e,
                 )
 
     if not is_connected(g):
-        return ValidationReport(False, "NotConnected", None, "graph is not connected")
-
-    return ValidationReport(True)
+        raise NotConnected("graph is not connected")
 
 
-def check_valid(gog: GraphOfGroups) -> GraphOfGroups:
-    """Raise the error corresponding to the first validation failure."""
-    report = validate(gog)
-    if report.ok:
-        return gog
-    exc = {
-        "Empty": EmptyGraph,
-        "EdgeOrderNotSymmetric": EdgeOrderNotSymmetric,
-        "DivisibilityViolation": DivisibilityViolation,
-        "NotConnected": NotConnected,
-    }[report.code]
-    raise exc(report.detail)
-
-
-def _assemble(
+def build_gog(
     vertex_orders: dict[str, int],
     edge_specs: list[tuple[str, str, str, int]],
 ) -> GraphOfGroups:
+    """Build and validate a datum from (name, origin, terminus, order) edges.
+
+    Synthesizes the half-edge pair name/name~ for each entry, like the parser.
+    """
     for v in vertex_orders:
         if BAR_SUFFIX in v:
             raise GogSyntaxError(f"vertex id {v!r} contains reserved '~'")
@@ -139,25 +130,9 @@ def _assemble(
     return GraphOfGroups(graph, dict(vertex_orders), edge_order)
 
 
-def build_gog(
-    vertex_orders: dict[str, int],
-    edge_specs: list[tuple[str, str, str, int]],
-) -> GraphOfGroups:
-    """Build and validate a datum from (name, origin, terminus, order) edges.
-
-    Synthesizes the half-edge pair name/name~ for each entry, like the parser.
-    """
-    return check_valid(_assemble(vertex_orders, edge_specs))
-
-
 def parse_gog(text: str) -> GraphOfGroups:
     """Parse the GOG text format; raises GogSyntaxError with a line number,
     then any validation error."""
-    return check_valid(parse_gog_structure(text))
-
-
-def parse_gog_structure(text: str) -> GraphOfGroups:
-    """Parse without semantic validation (syntax and graph shape only)."""
     vertex_orders: dict[str, int] = {}
     edge_specs: list[tuple[str, str, str, int]] = []
     edge_names: set[str] = set()
@@ -197,7 +172,7 @@ def parse_gog_structure(text: str) -> GraphOfGroups:
         else:
             raise GogSyntaxError(f"line {lineno}: unknown directive {kind!r}")
 
-    return _assemble(vertex_orders, edge_specs)
+    return build_gog(vertex_orders, edge_specs)
 
 
 def _parse_order(s: str, lineno: int) -> int:

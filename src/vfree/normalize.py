@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotTreeEdge, NotTrivial
-from .gog import GraphOfGroups, NormalizedGog, check_valid
+from .gog import GraphOfGroups, NormalizedGog
 from .graph import Graph, SpanningTree, spanning_tree
 
 
@@ -115,7 +115,6 @@ def normalize(gog: GraphOfGroups) -> tuple[NormalizedGog, list[ContractionStep]]
     The steps are those of repeated ``find_trivial_edge`` +
     ``contract_edge``; the result datum is built once, at the end.
     """
-    check_valid(gog)
     g = gog.graph
     tree = spanning_tree(g, g.vertices[0])
     candidates = sorted(

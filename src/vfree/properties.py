@@ -3,9 +3,9 @@
 Each suite is a generator fn(seed, bound) yielding (property, ok, detail),
 one triple per property; `bound` sizes the suite (data, terms or index).
 The checks re-derive each property from the counting series and the brute
-force oracles. They never call the library's own predictors
-(`growth_check`, `predicted_parity`), so a check never compares a helper
-with itself.
+force oracles. They never call a predictor (the library's `growth_check`,
+the tests' `predicted_parity`), so a check never compares a helper with
+itself.
 """
 
 from __future__ import annotations

@@ -9,8 +9,15 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from vfree import build_gog
-from vfree.counting import f_series, g_series
-from vfree.errors import NonIntegralCount, NonPositiveCount
+from vfree.classify import ClassificationReport, Label
+from vfree.counting import _rank2_inputs, f_series, f_series_rank2, g_series
+from vfree.errors import (
+    MissingParam,
+    NonIntegralCount,
+    NonPositiveCount,
+    UnknownClass,
+    WrongRank,
+)
 from vfree.gog import GraphOfGroups
 from vfree.graph import spanning_tree
 from vfree.invariants import euler_char, free_rank, m_gamma, type_vector
@@ -137,6 +144,54 @@ def f_series_fractions(gog: GraphOfGroups, N: int) -> list[int]:
             raise NonPositiveCount(f"f_{lam} = {n} with free rank {mu}")
         f.append(n)
     return f
+
+
+# --- rank-2 parity and rank-1 class predictors ----------------------------------
+
+def predicted_parity(class_label: str, params: dict[str, int], N: int) -> list[bool]:
+    """Predicted parity of f_1..f_N for a rank-2 class.
+
+    Classes iii (index pairs {2,3} and {2,4}) and v with odd amalgam order
+    are odd exactly at l = 1, 3, 7, 15, ... (l + 1 a power of two); every
+    other class is constant mod 2, with the constant read off f_1.
+    """
+    m, s = _rank2_inputs(class_label, params)
+
+    alternating = False
+    if class_label == "iii":
+        if s < 1 or m % s != 0 or m // s not in (3, 4, 6):
+            raise UnknownClass(f"class iii requires m/|S| in {{3, 4, 6}}, got m={m} S={s}")
+        alternating = m // s in (4, 6) and s % 2 == 1
+    elif class_label == "v":
+        if m % 2 != 0:
+            raise MissingParam(f"class v requires even m, got {m}")
+        alternating = (m // 2) % 2 == 1
+
+    if alternating:
+        return [((lam + 1) & lam) == 0 for lam in range(1, N + 1)]
+    f1_odd = f_series_rank2(class_label, params, 1)[0] % 2 == 1
+    return [f1_odd] * N
+
+
+def distinguish_rank1(a: ClassificationReport, b: ClassificationReport) -> bool:
+    """True iff two rank-1 reports name different classes.
+
+    The classes are separated by the type data: the loop class has every
+    zeta_k = 0, while the amalgam class has zeta_m = -1. Both facts are
+    re-checked against the reports' computed type vectors; a report whose
+    label contradicts them raises AssertionError (explicitly, so -O keeps it).
+    """
+    if a.rank != 1 or b.rank != 1:
+        raise WrongRank(f"ranks {a.rank}, {b.rank} are not both 1")
+    for rep in (a, b):
+        tv = rep.type_vector
+        if rep.label is Label.R1_I and any(tv.zeta.values()):
+            raise AssertionError(f"loop class with zeta {tv.zeta}")
+        if rep.label is Label.R1_II and tv.zeta[tv.m] != -1:
+            raise AssertionError(
+                f"amalgam class with zeta_{tv.m} = {tv.zeta[tv.m]}"
+            )
+    return a.label is not b.label
 
 
 # --- reference normalization ----------------------------------------------------

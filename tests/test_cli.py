@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import importlib.util
 import json
@@ -16,6 +17,7 @@ F2 = "vertex v 1\nedge p v v 1\nedge q v v 1\n"
 C2C3 = "vertex a 2\nvertex b 3\nedge s a b 1\n"
 COLLAPSIBLE = "vertex a 4\nvertex b 2\nedge s a b 2\n"
 BAD_DIVISIBILITY = "vertex a 2\nvertex b 3\nedge s a b 2\n"
+DIVISIBILITY_ERROR = "edge order 2 does not divide order 3 at vertex b"
 # m = 24, mu = 34: f_50 is the first count past 4300 decimal digits
 BIG = (
     "vertex a 12\nvertex b 8\nvertex c 6\n"
@@ -52,14 +54,23 @@ def run(capsys, *argv):
 
 class TestValidate:
     def test_ok(self, gog_file, capsys):
-        code, out, err = run(capsys, "validate", gog_file(DIHEDRAL))
-        assert code == 0
-        assert out == "ok\n"
+        assert run(capsys, "validate", gog_file(DIHEDRAL)) == (0, "ok\n", "")
 
     def test_divisibility_error(self, gog_file, capsys):
-        code, out, err = run(capsys, "validate", gog_file(BAD_DIVISIBILITY))
-        assert code == 1
-        assert "DivisibilityViolation" in err
+        assert run(capsys, "validate", gog_file(BAD_DIVISIBILITY)) == (
+            1, "", f"error DivisibilityViolation at s: {DIVISIBILITY_ERROR}\n"
+        )
+
+    @pytest.mark.parametrize(
+        "text, err",
+        [
+            ("vertex a 2\nvertex b 3\n", "error NotConnected: graph is not connected\n"),
+            ("# only a comment\n", "error Empty: graph has no vertices\n"),
+        ],
+        ids=["not-connected", "empty"],
+    )
+    def test_error_without_offender(self, gog_file, capsys, text, err):
+        assert run(capsys, "validate", gog_file(text)) == (1, "", err)
 
     def test_syntax_error_exit_code(self, gog_file, capsys):
         code, out, err = run(capsys, "validate", gog_file("vertex a\n"))
@@ -103,6 +114,11 @@ class TestCount:
     def test_empty_file_is_typed_error(self, gog_file, capsys, text):
         code, out, err = run(capsys, "count", gog_file(text))
         assert (code, out, err) == (1, "", "Empty: graph has no vertices\n")
+
+    def test_invalid_datum_is_typed_error(self, gog_file, capsys):
+        assert run(capsys, "count", gog_file(BAD_DIVISIBILITY)) == (
+            1, "", f"DivisibilityViolation: {DIVISIBILITY_ERROR}\n"
+        )
 
     def test_terms_cap(self, gog_file, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -342,3 +358,23 @@ class TestDeterminism:
         code, out, err = run(capsys, *COUNT_ARGVS[name])
         assert code == COUNT_DIGESTS[name]["rc"]
         assert hashlib.sha256(out.encode()).hexdigest() == COUNT_DIGESTS[name]["sha256"]
+
+
+class TestBenchmarkContract:
+    def test_spanned_functions_exist(self):
+        # the traced benchmark wraps each name listed in the shim's SPANNED
+        # by attribute lookup, so deleting one would crash a traced run
+        tree = ast.parse((ROOT / "perfbench" / "shim.py").read_text())
+        spanned = next(
+            ast.literal_eval(node.value)
+            for node in tree.body
+            if isinstance(node, ast.Assign)
+            and any(getattr(t, "id", None) == "SPANNED" for t in node.targets)
+        )
+        missing = [
+            f"{module}.{name}"
+            for module, names in spanned.items()
+            for name in names
+            if not callable(getattr(importlib.import_module(f"vfree.{module}"), name, None))
+        ]
+        assert spanned and missing == []

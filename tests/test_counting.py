@@ -13,6 +13,7 @@ from helpers import (
     free_bouquet,
     g_closed_form,
     hnn_loop,
+    predicted_parity,
     same_values,
     seeded_random_data,
     segment,
@@ -29,12 +30,12 @@ from vfree.counting import (
     is_triple_c2_shape,
     ode_check,
     parity_profile,
-    predicted_parity,
     theta_coeffs,
 )
 from vfree.errors import (
     MissingParam,
     NonIntegralCount,
+    NonIntegralTheta,
     NonPositiveCount,
     UnknownClass,
     WrongRank,
@@ -197,6 +198,15 @@ class TestTheta:
     def test_length_is_rank_plus_one(self):
         assert len(theta_coeffs(free_bouquet(2))) == 3
         assert len(theta_coeffs(c2_star_c3())) == 3
+
+    def test_non_integral_theta_on_corrupt_orders(self):
+        # mutating a built datum bypasses validation: order 2 divides
+        # neither vertex order
+        corrupt = segment_with_loop(2, 2, 2, 2)
+        corrupt.vertex_order.update({"a": 1, "b": 3})
+        with pytest.raises(NonIntegralTheta) as exc:
+            theta_coeffs(corrupt)
+        assert str(exc.value) == "NonIntegralTheta: theta_0 = 1/6 is not an integer"
 
     @given(small_gogs())
     @settings(max_examples=40, deadline=None)

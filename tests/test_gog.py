@@ -5,17 +5,20 @@ from helpers import dihedral, free_bouquet, small_gogs
 from vfree.errors import (
     DanglingVertexRef,
     DivisibilityViolation,
+    EdgeOrderNotSymmetric,
     EmptyGraph,
     GogSyntaxError,
+    InvalidGog,
+    NotConnected,
     NotNormalized,
 )
 from vfree.gog import (
     GraphOfGroups,
     NormalizedGog,
     build_gog,
+    check_valid,
     parse_gog,
     serialize_gog,
-    validate,
 )
 from vfree.graph import build_graph, spanning_tree
 
@@ -68,49 +71,46 @@ class TestParse:
             parse_gog("vertex a 2\nvertex b 2\nbogus\n")
 
 
+SEGMENT = build_graph(["a", "b"], [("s", "s~", "a", "b"), ("s~", "s", "b", "a")])
+
+
 class TestValidate:
     def test_ok(self):
-        assert validate(build_gog({"a": 2, "b": 3}, [("s", "a", "b", 1)])).ok
+        gog = GraphOfGroups(SEGMENT, {"a": 2, "b": 3}, {"s": 1, "s~": 1})
+        assert gog == build_gog({"a": 2, "b": 3}, [("s", "a", "b", 1)])
 
     def test_divisibility_violation_reports_offender(self):
-        with pytest.raises(DivisibilityViolation):
+        with pytest.raises(DivisibilityViolation) as exc:
             build_gog({"a": 2, "b": 3}, [("s", "a", "b", 2)])
-        gog = GraphOfGroups(
-            graph=build_graph(
-                ["a", "b"], [("s", "s~", "a", "b"), ("s~", "s", "b", "a")]
-            ),
-            vertex_order={"a": 2, "b": 3},
-            edge_order={"s": 2, "s~": 2},
-        )
-        report = validate(gog)
-        assert not report.ok
-        assert report.code == "DivisibilityViolation"
-        assert "3" in report.detail
+        assert exc.value.offender == "s"
+        assert exc.value.message == "edge order 2 does not divide order 3 at vertex b"
+        with pytest.raises(DivisibilityViolation) as exc:
+            GraphOfGroups(SEGMENT, {"a": 2, "b": 3}, {"s": 2, "s~": 2})
+        assert exc.value.offender == "s"
 
     def test_hnn_datum_full_order_loop_ok(self):
-        assert validate(build_gog({"v": 4}, [("e", "v", "v", 4)])).ok
+        assert build_gog({"v": 4}, [("e", "v", "v", 4)]).edge_order == {"e": 4, "e~": 4}
 
     def test_edge_order_not_symmetric(self):
-        gog = GraphOfGroups(
-            graph=build_graph(
-                ["a", "b"], [("s", "s~", "a", "b"), ("s~", "s", "b", "a")]
-            ),
-            vertex_order={"a": 2, "b": 2},
-            edge_order={"s": 1, "s~": 2},
-        )
-        assert validate(gog).code == "EdgeOrderNotSymmetric"
+        with pytest.raises(EdgeOrderNotSymmetric) as exc:
+            GraphOfGroups(SEGMENT, {"a": 2, "b": 2}, {"s": 1, "s~": 2})
+        assert exc.value.offender == "s"
+        assert str(exc.value) == "EdgeOrderNotSymmetric: order(s) = 1 != order(s~) = 2"
 
     def test_empty(self):
-        gog = GraphOfGroups(build_graph([], []), {}, {})
-        assert validate(gog).code == "Empty"
+        with pytest.raises(EmptyGraph) as exc:
+            GraphOfGroups(build_graph([], []), {}, {})
+        assert exc.value.offender is None
 
     def test_build_empty_raises(self):
         with pytest.raises(EmptyGraph):
             build_gog({}, [])
 
     def test_not_connected(self):
-        gog = GraphOfGroups(build_graph(["a", "b"], []), {"a": 1, "b": 1}, {})
-        assert validate(gog).code == "NotConnected"
+        with pytest.raises(NotConnected) as exc:
+            GraphOfGroups(build_graph(["a", "b"], []), {"a": 1, "b": 1}, {})
+        assert isinstance(exc.value, InvalidGog)
+        assert exc.value.offender is None
 
 
 class TestNormalizedGog:
@@ -163,5 +163,5 @@ class TestDivisibilityInvariant:
             assert gcd % s == 0
 
     def test_examples(self):
-        assert validate(dihedral()).ok
-        assert validate(free_bouquet(2)).ok
+        check_valid(dihedral())
+        check_valid(free_bouquet(2))

@@ -9,11 +9,11 @@ from helpers import (
     dihedral,
     free_bouquet,
     hnn_loop,
+    segment,
     small_gogs,
 )
 from vfree.errors import NonIntegralRank
-from vfree.gog import GraphOfGroups, build_gog
-from vfree.graph import build_graph
+from vfree.gog import build_gog
 from vfree.invariants import (
     check_edge_bound,
     divisors,
@@ -126,11 +126,10 @@ class TestFreeRank:
         assert free_rank(free_bouquet(2)) == 2
 
     def test_non_integral_rank_on_corrupt_orders(self):
-        # bypasses validation: edge order does not divide an endpoint order
-        graph = build_graph(
-            ["a", "b"], [("s", "s~", "a", "b"), ("s~", "s", "b", "a")]
-        )
-        corrupt = GraphOfGroups(graph, {"a": 2, "b": 3}, {"s": 4, "s~": 4})
+        # mutating a built datum bypasses validation: the edge order no
+        # longer divides an endpoint order
+        corrupt = segment(2, 1, 3)
+        corrupt.edge_order.update({"s": 4, "s~": 4})
         with pytest.raises(NonIntegralRank):
             free_rank(corrupt)
 

@@ -5,7 +5,7 @@ import pytest
 
 from helpers import dihedral, triple_c2
 from vfree.errors import DegreeTooLarge, TooLarge
-from vfree.gog import serialize_gog, validate
+from vfree.gog import check_valid, serialize_gog
 from vfree.graph import spanning_tree
 from vfree.invariants import free_rank
 from vfree.normalize import normalize
@@ -111,7 +111,7 @@ class TestShapeEnumeration:
 
     def test_all_valid_and_normalized_fixed_points(self):
         for gog in exhaustive_rank2_shapes(6):
-            assert validate(gog).ok
+            check_valid(gog)
             ngog, steps = normalize(gog)
             assert steps == []
             assert ngog.gog == gog
@@ -143,7 +143,7 @@ class TestRandomGog:
         rng = random.Random(99)
         for _ in range(100):
             gog = random_gog(rng)
-            assert validate(gog).ok
+            check_valid(gog)
             assert len(gog.graph.vertices) <= 6
             assert len(gog.graph.geometric_edges()) <= 6
             assert all(n <= 24 for n in gog.vertex_order.values())
