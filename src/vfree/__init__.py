@@ -34,7 +34,6 @@ from .gog import (
 )
 from .graph import (
     Graph,
-    Orientation,
     SpanningTree,
     build_graph,
     is_connected,
@@ -70,7 +69,6 @@ __all__ = [
     "Label",
     "LargenessReport",
     "NormalizedGog",
-    "Orientation",
     "SpanningTree",
     "TypeVector",
     "VfreeError",

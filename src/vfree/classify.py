@@ -69,7 +69,6 @@ class LargenessReport:
     rank_ge_2: bool
     structural_vii: bool
     f_strictly_increasing_prefix: bool
-    prefix_length: int
 
 
 def classify(ngog: NormalizedGog) -> ClassificationReport:
@@ -258,5 +257,4 @@ def largeness_report(ngog: NormalizedGog, N: int) -> LargenessReport:
         rank_ge_2=rank_ge_2,
         structural_vii=structural,
         f_strictly_increasing_prefix=increasing,
-        prefix_length=N,
     )

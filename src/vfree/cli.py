@@ -112,7 +112,7 @@ def cmd_largeness(args) -> int:
     print(f"structural={flag(rep.structural_vii)}")
     print(
         f"f_strictly_increasing={flag(rep.f_strictly_increasing_prefix)} "
-        f"(prefix {rep.prefix_length})"
+        f"(prefix {args.prefix})"
     )
     print("ends=implied-equivalent (not computed)")
     print("pride_preorder=implied-equivalent (not computed)")

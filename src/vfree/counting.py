@@ -250,18 +250,15 @@ def is_triple_c2_shape(ngog: NormalizedGog) -> bool:
     )
 
 
-def growth_check(gog: GraphOfGroups, N: int, start: int | None = None) -> bool:
-    """Check f_{l+1} - f_l >= m * (l+1)! for l = start..N on a rank-2 datum.
+def growth_check(gog: GraphOfGroups, N: int) -> bool:
+    """Check f_{l+1} - f_l >= m * (l+1)! for l = 1..N on a rank-2 datum.
 
-    ``start`` defaults to 1, except for the datum presenting the free
-    product of three order-2 groups, where the bound first holds at l = 2
-    (it genuinely fails at l = 1, which callers may report).
+    On the datum presenting the free product of three order-2 groups the
+    check starts at l = 2: there the bound genuinely fails at l = 1.
     """
     if free_rank(gog) != 2:
         raise WrongRank(f"free rank {free_rank(gog)} != 2")
-    if start is None:
-        ngog, _ = normalize(gog)
-        start = 2 if is_triple_c2_shape(ngog) else 1
+    start = 2 if is_triple_c2_shape(normalize(gog)[0]) else 1
     m = m_gamma(gog)
     f = f_series(gog, N + 1)
     return all(

@@ -19,11 +19,13 @@ Text format (UTF-8, line based, '#' starts a comment, blank lines ignored)::
     edge <id> <origin-vertex-id> <terminus-vertex-id> <order>
 
 Each ``edge`` line introduces the half-edge pair ``<id>`` / ``<id>~``;
-user-supplied ids must not contain '~'.
+user-supplied ids must not contain '~'. An order is written in ASCII
+decimal digits, with no sign, underscore or other numeral.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .errors import (
@@ -38,6 +40,8 @@ from .errors import (
 from .graph import Graph, SpanningTree, build_graph, is_connected
 
 BAR_SUFFIX = "~"
+# ASCII decimal digits only: int() would also take "1_2", "+1" and "٣"
+_ORDER_TEXT = re.compile(r"-?[0-9]+")
 
 
 @dataclass(frozen=True)
@@ -177,7 +181,9 @@ def parse_gog(text: str) -> GraphOfGroups:
 
 def _parse_order(s: str, lineno: int) -> int:
     try:
-        n = int(s)
+        if not _ORDER_TEXT.fullmatch(s):
+            raise ValueError(s)
+        n = int(s)  # also raises past the interpreter's int() digit limit
     except ValueError:
         raise GogSyntaxError(f"line {lineno}: order {s!r} is not an integer") from None
     if n < 1:
@@ -190,7 +196,7 @@ def serialize_gog(gog: GraphOfGroups) -> str:
     (the half-edge with smaller id), edges sorted by id."""
     g = gog.graph
     lines = [f"vertex {v} {gog.vertex_order[v]}" for v in g.vertices]
-    for e, _ in g.geometric_edges():
+    for e in g.orientation_reps():
         name = e[:-1] if e.endswith(BAR_SUFFIX) else e
         lines.append(
             f"edge {name} {g.origin[e]} {g.terminus[e]} {gog.edge_order[e]}"

@@ -35,17 +35,9 @@ class Graph:
     origin: dict[str, str]
     terminus: dict[str, str]
 
-    def geometric_edges(self) -> tuple[tuple[str, str], ...]:
-        """Geometric edges as (e, bar(e)) pairs keyed by their smaller id."""
-        pairs = []
-        for e in self.half_edges:
-            if e < self.bar[e]:
-                pairs.append((e, self.bar[e]))
-        return tuple(pairs)
-
     def orientation_reps(self) -> tuple[str, ...]:
-        """The smaller half-edge of every pair: a canonical orientation."""
-        return tuple(e for e, _ in self.geometric_edges())
+        """The smaller half-edge of every geometric edge, ascending by id."""
+        return tuple(e for e in self.half_edges if e < self.bar[e])
 
     @cached_property
     def _adjacency(self) -> dict[str, tuple[str, ...]]:
@@ -69,23 +61,12 @@ class Graph:
 
 
 @dataclass(frozen=True)
-class Orientation:
-    """A choice of half-edges, at most one per geometric pair."""
-
-    chosen: frozenset[str]
-
-
-@dataclass(frozen=True)
 class SpanningTree:
     """A spanning tree of ``graph``: tree_edges is closed under bar."""
 
     graph: Graph
     tree_edges: frozenset[str]
     root: str
-
-    def geometric_tree_edges(self) -> tuple[str, ...]:
-        g = self.graph
-        return tuple(e for e in sorted(self.tree_edges) if e < g.bar[e])
 
 
 def build_graph(
@@ -136,23 +117,35 @@ def build_graph(
     )
 
 
+def _reach(
+    g: Graph, root: str, tree_edges: frozenset[str] | None = None
+) -> dict[str, str | None]:
+    """Breadth-first search from ``root``: every reached vertex -> the
+    half-edge that first reached it (None for the root).
+
+    Half-edges are explored in ascending id order, and only those in
+    ``tree_edges`` when it is given, so the map is a deterministic function
+    of its arguments.
+    """
+    via: dict[str, str | None] = {root: None}
+    frontier = deque([root])
+    terminus = g.terminus  # one attribute lookup, not one per half-edge
+    while frontier:
+        v = frontier.popleft()
+        for e in g.out_edges(v):
+            w = terminus[e]
+            if w not in via and (tree_edges is None or e in tree_edges):
+                via[w] = e
+                frontier.append(w)
+    return via
+
+
 def is_connected(g: Graph) -> bool:
     """True iff every vertex is reachable from the first vertex.
 
     The empty graph is not connected.
     """
-    if not g.vertices:
-        return False
-    seen = {g.vertices[0]}
-    frontier = deque(seen)
-    while frontier:
-        v = frontier.popleft()
-        for e in g.out_edges(v):
-            w = g.terminus[e]
-            if w not in seen:
-                seen.add(w)
-                frontier.append(w)
-    return len(seen) == len(g.vertices)
+    return bool(g.vertices) and len(_reach(g, g.vertices[0])) == len(g.vertices)
 
 
 def spanning_tree(g: Graph, root: str) -> SpanningTree:
@@ -164,53 +157,23 @@ def spanning_tree(g: Graph, root: str) -> SpanningTree:
     """
     if root not in g.vertices:
         raise UnknownRoot(root)
-
-    tree: set[str] = set()
-    seen = {root}
-    frontier = deque([root])
-    while frontier:
-        v = frontier.popleft()
-        for e in g.out_edges(v):
-            w = g.terminus[e]
-            if w not in seen:
-                seen.add(w)
-                tree.add(e)
-                tree.add(g.bar[e])
-                frontier.append(w)
-    if len(seen) != len(g.vertices):
+    via = _reach(g, root)
+    if len(via) != len(g.vertices):
         raise NotConnected("spanning tree requires a connected graph")
-    return SpanningTree(graph=g, tree_edges=frozenset(tree), root=root)
+    edges = [e for e in via.values() if e is not None]
+    tree = frozenset(edges + [g.bar[e] for e in edges])
+    return SpanningTree(graph=g, tree_edges=tree, root=root)
 
 
-def tree_distances(t: SpanningTree, v0: str) -> dict[str, int]:
-    """Path-metric distance from v0 to every vertex, along tree edges."""
-    g = t.graph
-    dist = {v0: 0}
-    frontier = deque([v0])
-    while frontier:
-        v = frontier.popleft()
-        for e in g.out_edges(v):
-            if e not in t.tree_edges:
-                continue
-            w = g.terminus[e]
-            if w not in dist:
-                dist[w] = dist[v] + 1
-                frontier.append(w)
-    return dist
-
-
-def orient_from_root(t: SpanningTree, v0: str) -> Orientation:
+def orient_from_root(t: SpanningTree, v0: str) -> frozenset[str]:
     """Orient every tree edge away from v0.
 
-    The chosen half-edges are exactly those whose terminus is one step
-    further from v0 than their origin; e -> terminus(e) is then a
-    bijection from the chosen set onto the vertices other than v0.
+    In a tree the half-edge that first reaches w from v0 is the one tree
+    half-edge pointing one step away from v0 and ending at w, so
+    e -> terminus(e) is a bijection from the returned set onto the vertices
+    other than v0.
     """
-    g = t.graph
-    if v0 not in g.vertices:
+    if v0 not in t.graph.vertices:
         raise UnknownRoot(v0)
-    dist = tree_distances(t, v0)
-    chosen = frozenset(
-        e for e in t.tree_edges if dist[g.terminus[e]] == dist[g.origin[e]] + 1
-    )
-    return Orientation(chosen=chosen)
+    via = _reach(t.graph, v0, t.tree_edges)
+    return frozenset(e for e in via.values() if e is not None)

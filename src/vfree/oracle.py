@@ -68,7 +68,7 @@ def orientation_uniqueness(tree: SpanningTree, v0: str) -> bool:
     from .graph import orient_from_root  # structural, not arithmetic
 
     g = tree.graph
-    pairs = [(e, g.bar[e]) for e in tree.geometric_tree_edges()]
+    pairs = [(e, g.bar[e]) for e in g.orientation_reps() if e in tree.tree_edges]
     if len(pairs) > MAX_ORACLE_TREE_EDGES:
         raise TooLarge(f"{len(pairs)} geometric edges > {MAX_ORACLE_TREE_EDGES}")
 
@@ -78,13 +78,12 @@ def orientation_uniqueness(tree: SpanningTree, v0: str) -> bool:
         termini = [g.terminus[e] for e in picks]
         if len(set(termini)) == len(termini) and set(termini) == others:
             winners.append(frozenset(picks))
-    return len(winners) == 1 and winners[0] == orient_from_root(tree, v0).chosen
+    return len(winners) == 1 and winners[0] == orient_from_root(tree, v0)
 
 
 def _shape_data(order_bound: int):
-    """Yield (key, vertex_orders, edge_specs) for every normalized shape
-    with at most 3 vertices and 2 geometric edges, deduplicated under
-    relabeling."""
+    """Yield (vertex_orders, edge_specs) once for every normalized shape
+    with at most 3 vertices and 2 geometric edges, up to relabeling."""
     B = order_bound
     rng_orders = range(1, B + 1)
 
@@ -93,12 +92,12 @@ def _shape_data(order_bound: int):
 
     # single vertex, no edges
     for n in rng_orders:
-        yield ("point", n), {"v1": n}, []
+        yield {"v1": n}, []
 
     # single vertex, one loop (never a tree edge: any divisor order)
     for n in rng_orders:
         for s in divs(n):
-            yield ("loop", n, s), {"v1": n}, [("e1", "v1", "v1", s)]
+            yield {"v1": n}, [("e1", "v1", "v1", s)]
 
     # single vertex, two loops; loops are interchangeable
     for n in rng_orders:
@@ -106,7 +105,7 @@ def _shape_data(order_bound: int):
         for s1 in ds:
             for s2 in ds:
                 if s1 <= s2:
-                    yield ("bouquet2", n, s1, s2), {"v1": n}, [
+                    yield {"v1": n}, [
                         ("e1", "v1", "v1", s1),
                         ("e2", "v1", "v1", s2),
                     ]
@@ -118,9 +117,7 @@ def _shape_data(order_bound: int):
                 continue
             for s in divs(math.gcd(a, b)):
                 if s < a and s < b:
-                    yield ("segment", a, s, b), {"v1": a, "v2": b}, [
-                        ("e1", "v1", "v2", s)
-                    ]
+                    yield {"v1": a, "v2": b}, [("e1", "v1", "v2", s)]
 
     # segment with a loop at the second vertex; no symmetry
     for a in rng_orders:
@@ -129,7 +126,7 @@ def _shape_data(order_bound: int):
                 if not (s1 < a and s1 < b):
                     continue
                 for s2 in divs(b):
-                    yield ("segment_loop", a, s1, b, s2), {"v1": a, "v2": b}, [
+                    yield {"v1": a, "v2": b}, [
                         ("e1", "v1", "v2", s1),
                         ("e2", "v2", "v2", s2),
                     ]
@@ -144,7 +141,7 @@ def _shape_data(order_bound: int):
             for s1 in ds:
                 for s2 in ds:
                     if s1 <= s2 and s1 < a and s1 < b:
-                        yield ("double_edge", a, s1, s2, b), {"v1": a, "v2": b}, [
+                        yield {"v1": a, "v2": b}, [
                             ("e1", "v1", "v2", s1),
                             ("e2", "v1", "v2", s2),
                         ]
@@ -160,9 +157,7 @@ def _shape_data(order_bound: int):
                         if not (s2 < b and s2 < c):
                             continue
                         if (a, s1, b, s2, c) <= (c, s2, b, s1, a):
-                            yield ("path", a, s1, b, s2, c), {
-                                "v1": a, "v2": b, "v3": c,
-                            }, [
+                            yield {"v1": a, "v2": b, "v3": c}, [
                                 ("e1", "v1", "v2", s1),
                                 ("e2", "v2", "v3", s2),
                             ]
@@ -178,14 +173,7 @@ def exhaustive_rank2_shapes(order_bound: int) -> list[GraphOfGroups]:
     """
     if order_bound > MAX_SHAPE_ORDER:
         raise TooLarge(f"order bound {order_bound} > {MAX_SHAPE_ORDER}")
-    seen = set()
-    out = []
-    for key, vorders, especs in _shape_data(order_bound):
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(build_gog(vorders, especs))
-    return out
+    return [build_gog(vorders, especs) for vorders, especs in _shape_data(order_bound)]
 
 
 def random_gog(

@@ -359,6 +359,17 @@ class TestDeterminism:
         assert code == COUNT_DIGESTS[name]["rc"]
         assert hashlib.sha256(out.encode()).hexdigest() == COUNT_DIGESTS[name]["sha256"]
 
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_benchmark_graph_outputs(self, tmp_path, capsys, monkeypatch, seed):
+        # the generator derives each expected output from the shape it built
+        # (which tree edges contract, and in what order), not from vfree
+        ops = workloads.graph_ops(tmp_path, tmp_path, seed)
+        monkeypatch.chdir(tmp_path)
+        assert len(ops) == 6
+        for op in ops:
+            code, out, _ = run(capsys, *op.argv)
+            assert op.expect.check(code, out.encode(), b""), op.name
+
 
 class TestBenchmarkContract:
     def test_spanned_functions_exist(self):

@@ -335,8 +335,6 @@ class TestGrowth:
     def test_triple_c2_exceptional_start(self):
         gog = triple_c2()
         assert growth_check(gog, 20)  # auto-detects the shape, starts at 2
-        assert growth_check(gog, 20, start=2)
-        assert not growth_check(gog, 20, start=1)
 
     def test_triple_c2_failure_is_exactly_at_first_step(self):
         f = f_series(triple_c2(), 2)

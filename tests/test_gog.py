@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given, settings
 
@@ -35,7 +37,7 @@ class TestParse:
 
     def test_two_loops(self):
         gog = parse_gog(F2_TEXT)
-        assert len(gog.graph.geometric_edges()) == 2
+        assert len(gog.graph.orientation_reps()) == 2
         assert all(gog.graph.is_loop(e) for e in gog.graph.half_edges)
 
     def test_missing_vertex(self):
@@ -60,6 +62,9 @@ class TestParse:
             "vertex a 2\nedge s a a 1\nedge s a a 1\n",
             "vertx a 2\n",
             "vertex a 2\nedge s a a\n",
+            "vertex a 1_2\n",
+            "vertex b \u0663\n",
+            "vertex a 2\nvertex b 2\nedge s a b +1\n",
         ],
     )
     def test_syntax_errors(self, bad):
@@ -69,6 +74,26 @@ class TestParse:
     def test_line_number_reported(self):
         with pytest.raises(GogSyntaxError, match="line 3"):
             parse_gog("vertex a 2\nvertex b 2\nbogus\n")
+
+    @pytest.mark.parametrize(
+        "order, message",
+        [("1_2", "order '1_2' is not an integer"), ("-3", "order must be positive, got -3")],
+    )
+    def test_order_messages(self, order, message):
+        with pytest.raises(GogSyntaxError) as exc:
+            parse_gog(f"vertex a {order}\n")
+        assert exc.value.message == f"line 1: {message}"
+
+    def test_order_past_the_int_digit_limit(self):
+        # library callers keep the interpreter's limit on int() of a long
+        # string (only the CLI lifts it); such an order is a typed error
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            with pytest.raises(GogSyntaxError, match="is not an integer"):
+                parse_gog("vertex a " + "1" * 5000 + "\n")
+        finally:
+            sys.set_int_max_str_digits(saved)
 
 
 SEGMENT = build_graph(["a", "b"], [("s", "s~", "a", "b"), ("s~", "s", "b", "a")])

@@ -16,7 +16,6 @@ from vfree.graph import (
     is_connected,
     orient_from_root,
     spanning_tree,
-    tree_distances,
 )
 from vfree.normalize import contract_edge, find_trivial_edge
 from vfree.oracle import random_tree_graph
@@ -45,6 +44,15 @@ def path_graph(k):
     return build_graph(vertices, records)
 
 
+def triangle_graph():
+    """a: v1-v2, b: v2-v3, c: v3-v1."""
+    records = []
+    for name, o, t in [("a", "v1", "v2"), ("b", "v2", "v3"), ("c", "v3", "v1")]:
+        records.append((name, name + "~", o, t))
+        records.append((name + "~", name, t, o))
+    return build_graph(["v1", "v2", "v3"], records)
+
+
 def star_graph():
     """Center c with leaves l1..l4, edges e1..e4 pointing c -> leaf."""
     records = []
@@ -58,7 +66,7 @@ def star_graph():
 class TestBuildGraph:
     def test_loop_is_valid_single_geometric_edge(self):
         g = loop_graph()
-        assert len(g.geometric_edges()) == 1
+        assert len(g.orientation_reps()) == 1
         assert g.is_loop("e")
 
     def test_incidence_mismatch(self):
@@ -70,7 +78,7 @@ class TestBuildGraph:
 
     def test_segment(self):
         g = segment_graph()
-        assert len(g.geometric_edges()) == 1
+        assert len(g.orientation_reps()) == 1
         assert not g.is_loop("e")
 
     def test_fixed_point_involution(self):
@@ -173,13 +181,8 @@ class TestSpanningTree:
         assert t.tree_edges == frozenset(g.half_edges)
 
     def test_triangle_tree_determined_by_edge_order(self):
-        # a: v1-v2, b: v2-v3, c: v3-v1; BFS from v1 takes a then c~
-        records = []
-        for name, o, t in [("a", "v1", "v2"), ("b", "v2", "v3"), ("c", "v3", "v1")]:
-            records.append((name, name + "~", o, t))
-            records.append((name + "~", name, t, o))
-        g = build_graph(["v1", "v2", "v3"], records)
-        t = spanning_tree(g, "v1")
+        # BFS from v1 takes a then c~
+        t = spanning_tree(triangle_graph(), "v1")
         assert t.tree_edges == frozenset({"a", "a~", "c", "c~"})
 
     def test_deterministic(self):
@@ -203,30 +206,35 @@ class TestOrientFromRoot:
         g = path_graph(2)
         t = spanning_tree(g, "v01")
         o = orient_from_root(t, "v01")
-        termini = {g.terminus[e] for e in o.chosen}
+        termini = {g.terminus[e] for e in o}
         assert termini == {"v02", "v03"}
-        assert len(o.chosen) == 2
+        assert len(o) == 2
 
     def test_single_vertex_tree(self):
         g = build_graph(["v"], [])
         t = spanning_tree(g, "v")
-        assert orient_from_root(t, "v").chosen == frozenset()
+        assert orient_from_root(t, "v") == frozenset()
 
     def test_star_rooted_at_leaf(self):
         g = star_graph()
         t = spanning_tree(g, "c")
         o = orient_from_root(t, "l1")
         # e1 reversed (l1 -> c), the rest leaf-ward
-        assert o.chosen == frozenset({"e1~", "e2", "e3", "e4"})
-        termini = {g.terminus[e] for e in o.chosen}
+        assert o == frozenset({"e1~", "e2", "e3", "e4"})
+        termini = {g.terminus[e] for e in o}
         assert termini == {"c", "l2", "l3", "l4"}
 
     def test_any_base_point_not_just_tree_root(self):
         g = path_graph(3)
         t = spanning_tree(g, "v01")
         o = orient_from_root(t, "v03")
-        termini = {g.terminus[e] for e in o.chosen}
+        termini = {g.terminus[e] for e in o}
         assert termini == {"v01", "v02", "v04"}
+
+    def test_follows_tree_edges_only(self):
+        # the tree from v1 is {a, c}; from v2 the direct edge b is not in it
+        t = spanning_tree(triangle_graph(), "v1")
+        assert orient_from_root(t, "v2") == frozenset({"a~", "c~"})
 
     def test_unknown_root(self):
         g = path_graph(1)
@@ -241,6 +249,16 @@ class TestOrientFromRoot:
             t = spanning_tree(g, g.vertices[0])
             v0 = rng.choice(g.vertices)
             o = orient_from_root(t, v0)
-            dist = tree_distances(t, v0)
-            for e in o.chosen:
+            # tree distances by relaxing every tree half-edge until stable
+            dist = {v0: 0}
+            changed = True
+            while changed:
+                changed = False
+                for e in t.tree_edges:
+                    u, w = g.origin[e], g.terminus[e]
+                    if u in dist and dist[u] + 1 < dist.get(w, len(g.vertices)):
+                        dist[w] = dist[u] + 1
+                        changed = True
+            assert len(dist) == len(g.vertices) == len(o) + 1
+            for e in o:
                 assert dist[g.terminus[e]] == dist[g.origin[e]] + 1

@@ -79,6 +79,17 @@ class TestOrientationUniqueness:
         assert orientation_uniqueness(tree, "c")
         assert orientation_uniqueness(tree, "l2")
 
+    def test_spanning_tree_of_a_cycle(self):
+        # only the tree edges are oriented; the cycle-closing edge e3 is not
+        from vfree.graph import build_graph
+
+        records = []
+        for name, o, t in [("e1", "a", "b"), ("e2", "b", "c"), ("e3", "c", "a")]:
+            records.append((name, name + "~", o, t))
+            records.append((name + "~", name, t, o))
+        tree = spanning_tree(build_graph(["a", "b", "c"], records), "a")
+        assert all(orientation_uniqueness(tree, v) for v in "abc")
+
     def test_random_trees(self):
         rng = random.Random(42)
         for _ in range(50):
@@ -130,7 +141,7 @@ class TestShapeEnumeration:
     def test_size_bounds(self):
         for gog in exhaustive_rank2_shapes(5):
             assert len(gog.graph.vertices) <= 3
-            assert len(gog.graph.geometric_edges()) <= 2
+            assert len(gog.graph.orientation_reps()) <= 2
             assert all(n <= 5 for n in gog.vertex_order.values())
 
     def test_order_cap(self):
@@ -145,7 +156,7 @@ class TestRandomGog:
             gog = random_gog(rng)
             check_valid(gog)
             assert len(gog.graph.vertices) <= 6
-            assert len(gog.graph.geometric_edges()) <= 6
+            assert len(gog.graph.orientation_reps()) <= 6
             assert all(n <= 24 for n in gog.vertex_order.values())
 
     def test_lcm_stays_desk_scale(self):
