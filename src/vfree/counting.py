@@ -108,21 +108,34 @@ def f_series(gog: GraphOfGroups, N: int) -> list[int]:
     return f
 
 
-def theta_coeffs(gog: GraphOfGroups) -> tuple[int, ...]:
+def theta_coeffs(gog: GraphOfGroups, N: int | None = None) -> tuple[int, ...]:
     """Integer ODE coefficients theta_0..theta_mu from the type data.
 
     theta_u = (1/u!) * sum_{j=0}^{u} (-1)^(u-j) * C(u,j) * m * (j+1)
               * prod_{k=1}^{m} (j*m + k)^zeta_{gcd(m,k)}.
 
+    That is theta_u = Delta^u T(0) / u!, Newton's forward coefficient of
+    T(x) = m(x+1) * prod_k (m x + k)^zeta_{gcd(m,k)}, so theta_u depends on
+    T(0..u) alone. Given N, only theta_0..theta_{min(N-1, mu)} are built,
+    from T(0..min(N-1, mu)); they equal that prefix of the full tuple.
+    ode_check on a g of N+1 terms reads no more than these N. N < 1 raises
+    ValueError.
+
     Since m*(j+1) = j*m + m, the prefactor is one more power of the k = m
     factor. For genuine data that lifts the lone negative exponent
-    (zeta_m = -1 on a tree) to 0, so every term is an integer; any exponent
-    still negative contributes a reciprocal factor and the terms become
-    rationals. Each final theta_u must be an integer.
+    (zeta_m = -1 on a tree) to 0, so every exponent is >= 0 and T lies in
+    Z[x]. An integer polynomial has integer coefficients in the
+    falling-factorial basis x(x-1)...(x-u+1), and those are exactly the
+    theta_u, so each theta_u is an integer. An exponent still negative
+    means corrupted orders: T(j) becomes a rational, and a theta_u that
+    is not an integer raises NonIntegralTheta.
     """
+    if N is not None and N < 1:
+        raise ValueError(f"theta_coeffs requires N >= 1, got {N}")
     tv = type_vector(gog)
     m = tv.m
     mu = free_rank(gog)
+    top = mu if N is None else min(N - 1, mu)
     exps = [tv.zeta[math.gcd(m, k)] for k in range(1, m + 1)]
     exps[-1] += 1
     up = [(k, e) for k, e in enumerate(exps, 1) if e > 0]
@@ -136,10 +149,10 @@ def theta_coeffs(gog: GraphOfGroups) -> tuple[int, ...]:
 
     # the alternating binomial sum for theta_u is the u-th forward
     # difference of the term sequence at 0, divided by u!
-    work = [term(j) for j in range(mu + 1)]
+    work = [term(j) for j in range(top + 1)]
     theta: list[int] = []
     factorial = 1
-    for u in range(mu + 1):
+    for u in range(top + 1):
         if u:
             factorial *= u
             work = [b - a for a, b in zip(work, work[1:])]
@@ -167,7 +180,9 @@ def ode_check(g: list[Fraction], theta: tuple[int, ...], m: int) -> bool:
 
     with the empty product (u = 0) equal to 1. True iff this holds for all
     l representable in the given truncation; both sides are compared
-    cross-multiplied by the two denominators, in integers.
+    cross-multiplied by the two denominators, in integers. The falling
+    factorial vanishes for u > l, so a g of n+1 terms (l <= n-1) reads only
+    theta_0..theta_{n-1}; any further coefficients are ignored.
     """
     for lam in range(len(g) - 1):
         total = 0

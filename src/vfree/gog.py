@@ -20,12 +20,14 @@ Text format (UTF-8, line based, '#' starts a comment, blank lines ignored)::
 
 Each ``edge`` line introduces the half-edge pair ``<id>`` / ``<id>~``;
 user-supplied ids must not contain '~'. An order is written in ASCII
-decimal digits, with no sign, underscore or other numeral.
+decimal digits, with no sign, underscore or other numeral, and has at
+most 4300 digits (``TooLarge`` otherwise).
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 
 from .errors import (
@@ -36,12 +38,16 @@ from .errors import (
     GogSyntaxError,
     NotConnected,
     NotNormalized,
+    TooLarge,
 )
 from .graph import Graph, SpanningTree, build_graph, is_connected
 
 BAR_SUFFIX = "~"
 # ASCII decimal digits only: int() would also take "1_2", "+1" and "٣"
 _ORDER_TEXT = re.compile(r"-?[0-9]+")
+# the interpreter's default int() digit limit, checked before int() so that
+# library callers and the CLI (which lifts that limit) reject the same text
+MAX_ORDER_DIGITS = 4300
 
 
 @dataclass(frozen=True)
@@ -180,12 +186,20 @@ def parse_gog(text: str) -> GraphOfGroups:
 
 
 def _parse_order(s: str, lineno: int) -> int:
+    if not _ORDER_TEXT.fullmatch(s):
+        raise GogSyntaxError(f"line {lineno}: order {s!r} is not an integer")
+    digits = len(s.lstrip("-"))
+    if digits > MAX_ORDER_DIGITS:
+        raise TooLarge(
+            f"line {lineno}: order has {digits} digits, more than {MAX_ORDER_DIGITS}"
+        )
     try:
-        if not _ORDER_TEXT.fullmatch(s):
-            raise ValueError(s)
-        n = int(s)  # also raises past the interpreter's int() digit limit
-    except ValueError:
-        raise GogSyntaxError(f"line {lineno}: order {s!r} is not an integer") from None
+        n = int(s)
+    except ValueError:  # the caller lowered the interpreter's int() limit
+        raise TooLarge(
+            f"line {lineno}: order has {digits} digits, "
+            f"more than {sys.get_int_max_str_digits()}"
+        ) from None
     if n < 1:
         raise GogSyntaxError(f"line {lineno}: order must be positive, got {n}")
     return n

@@ -77,6 +77,12 @@ class TestValidate:
         assert code == 1
         assert "SyntaxError" in err
 
+    def test_order_past_the_digit_cap(self, gog_file, capsys):
+        # one short line, not the 5000 digits echoed back
+        code, out, err = run(capsys, "validate", gog_file("vertex a " + "7" * 5000 + "\n"))
+        assert (code, out) == (1, "")
+        assert err == "TooLarge: line 1: order has 5000 digits, more than 4300\n"
+
     def test_missing_file_is_usage_error(self, capsys):
         code, out, err = run(capsys, "validate", "/nonexistent/x.gog")
         assert code == 2
@@ -358,6 +364,13 @@ class TestDeterminism:
         code, out, err = run(capsys, *COUNT_ARGVS[name])
         assert code == COUNT_DIGESTS[name]["rc"]
         assert hashlib.sha256(out.encode()).hexdigest() == COUNT_DIGESTS[name]["sha256"]
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_benchmark_verify_all_output(self, capsys, seed):
+        # every suite at its default bound, as the verify-corpus op runs it
+        code, out, _ = run(capsys, "verify", "all", "--seed", str(seed))
+        assert code == 0
+        assert out.encode() == workloads.verify_expected(seed)
 
     @pytest.mark.parametrize("seed", [0, 7])
     def test_benchmark_graph_outputs(self, tmp_path, capsys, monkeypatch, seed):

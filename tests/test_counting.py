@@ -188,9 +188,61 @@ class TestIntegerKernel:
         assert f_series(gog, 200) == f_series_rank2(label, params, 200)
 
 
+def wide_shapes():
+    """The order-8 shapes with m >= 168: mu is 180..430, far past the 30
+    terms that the ode suite reads."""
+    return [gog for gog in exhaustive_rank2_shapes(8) if m_gamma(gog) >= 168]
+
+
+def assert_truncation_is_prefix(gog):
+    full = theta_coeffs(gog)
+    for n in (1, 2, 30, len(full), len(full) + 4):
+        assert theta_coeffs(gog, n) == full[:n]
+
+
 class TestTheta:
     def test_dihedral_coefficients(self):
         assert theta_coeffs(dihedral()) == (1, 2)
+
+    def test_truncation_is_prefix_on_wide_shapes(self):
+        shapes = wide_shapes()
+        assert len(shapes) == 14
+        for gog in shapes:
+            assert_truncation_is_prefix(gog)
+
+    @given(small_gogs())
+    @settings(max_examples=40, deadline=None)
+    def test_truncation_is_prefix(self, gog):
+        assert_truncation_is_prefix(gog)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_truncation_below_one_term(self, n):
+        with pytest.raises(ValueError, match=f"N >= 1, got {n}"):
+            theta_coeffs(dihedral(), n)
+
+    def test_ode_check_ignores_coefficients_past_its_terms(self):
+        # g_0..g_12 reads theta_0..theta_11, index len(g) - 2 at most
+        gog = wide_shapes()[0]
+        m = m_gamma(gog)
+        g = g_series(gog, 12)
+        th = theta_coeffs(gog, 12)
+        junk = th + (7, -3, 10**40)
+        bad = list(g)
+        bad[5] += Fraction(1, 7)
+        assert ode_check(g, th, m) and ode_check(g, junk, m)
+        assert not ode_check(bad, th, m) and not ode_check(bad, junk, m)
+
+    def test_ode_check_needs_the_last_coefficient(self):
+        # guards the ode suite's N against an off-by-one
+        gog = c2_star_c3()
+        g = g_series(gog, 12)
+        th = theta_coeffs(gog, 12)
+        assert ode_check(g, th, 6)
+        assert not ode_check(g, th[:-1], 6)
+        gog = wide_shapes()[0]
+        g = g_series(gog, 30)
+        assert ode_check(g, theta_coeffs(gog, 30), m_gamma(gog))
+        assert not ode_check(g, theta_coeffs(gog, 29), m_gamma(gog))
 
     def test_rank_zero_datum_single_coefficient(self):
         assert theta_coeffs(build_gog({"v": 5}, [])) == (1,)

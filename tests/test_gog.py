@@ -13,6 +13,7 @@ from vfree.errors import (
     InvalidGog,
     NotConnected,
     NotNormalized,
+    TooLarge,
 )
 from vfree.gog import (
     GraphOfGroups,
@@ -86,14 +87,27 @@ class TestParse:
 
     def test_order_past_the_int_digit_limit(self):
         # library callers keep the interpreter's limit on int() of a long
-        # string (only the CLI lifts it); such an order is a typed error
+        # string (only the CLI lifts it, to 0); the digit cap is checked
+        # first, so such an order is TooLarge whatever that limit is
+        for limit in (4300, 0):
+            self.assert_too_large(limit, 5000, 4300)
+
+    def test_order_past_a_lowered_int_digit_limit(self):
+        self.assert_too_large(1000, 2000, 1000)
+
+    @staticmethod
+    def assert_too_large(limit, digits, cap):
         saved = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(4300)
+        sys.set_int_max_str_digits(limit)
         try:
-            with pytest.raises(GogSyntaxError, match="is not an integer"):
-                parse_gog("vertex a " + "1" * 5000 + "\n")
+            with pytest.raises(TooLarge) as exc:
+                parse_gog("vertex a " + "1" * digits + "\n")
         finally:
             sys.set_int_max_str_digits(saved)
+        assert exc.value.message == f"line 1: order has {digits} digits, more than {cap}"
+
+    def test_order_at_the_digit_cap(self):
+        assert parse_gog("vertex a " + "1" * 4300 + "\n").vertex_order["a"] > 0
 
 
 SEGMENT = build_graph(["a", "b"], [("s", "s~", "a", "b"), ("s~", "s", "b", "a")])
