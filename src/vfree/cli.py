@@ -81,14 +81,11 @@ def cmd_invariants(args) -> int:
 def cmd_count(args) -> int:
     gog = parse_gog(_read(args.file))
     n = args.terms
-    f = counting.f_series(gog, n)
-    if args.g:
-        g = counting.g_series(gog, n)
-        for lam in range(1, n + 1):
-            print(f"{lam} {f[lam - 1]} {_frac(g[lam])}")
-    else:
-        for lam in range(1, n + 1):
-            print(f"{lam} {f[lam - 1]}")
+    g = counting.g_series(gog, n) if args.g else None
+    f = counting.f_series(gog, n) if g is None else counting._f_from_g(gog, g)
+    for lam in range(1, n + 1):
+        tail = f" {_frac(g[lam])}" if g else ""
+        print(f"{lam} {f[lam - 1]}{tail}")
     return 0
 
 

@@ -89,7 +89,12 @@ def f_series(gog: GraphOfGroups, N: int) -> list[int]:
     (A rank-0 datum presents a finite group, where f_1 = 1 and every later
     count is 0.)
     """
-    g = g_series(gog, N)
+    return _f_from_g(gog, g_series(gog, N))
+
+
+def _f_from_g(gog: GraphOfGroups, g: list[Fraction]) -> list[int]:
+    """f_1..f_N from g = g_series(gog, N), for a caller that also needs g."""
+    N = len(g) - 1
     m = m_gamma(gog)
     mu = free_rank(gog)
     D = math.lcm(*(q.denominator for q in g))

@@ -20,18 +20,6 @@ class VfreeError(Exception):
 
 # --- graph construction ---------------------------------------------------
 
-class FixedPointInvolution(VfreeError):
-    code = "FixedPointInvolution"
-
-
-class BrokenInvolution(VfreeError):
-    code = "BrokenInvolution"
-
-
-class IncidenceMismatch(VfreeError):
-    code = "IncidenceMismatch"
-
-
 class DanglingVertexRef(VfreeError):
     code = "DanglingVertexRef"
 

@@ -18,8 +18,9 @@ Text format (UTF-8, line based, '#' starts a comment, blank lines ignored)::
     vertex <id> <order>
     edge <id> <origin-vertex-id> <terminus-vertex-id> <order>
 
-Each ``edge`` line introduces the half-edge pair ``<id>`` / ``<id>~``;
-user-supplied ids must not contain '~'. An order is written in ASCII
+Each ``edge`` line is one geometric edge; ``graph.build_graph`` makes its
+half-edge pair ``<id>`` / ``<id>~``, so user-supplied ids must not
+contain '~'. An order is written in ASCII
 decimal digits, with no sign, underscore or other numeral, and has at
 most 4300 digits (``TooLarge`` otherwise).
 """
@@ -40,14 +41,15 @@ from .errors import (
     NotNormalized,
     TooLarge,
 )
-from .graph import Graph, SpanningTree, build_graph, is_connected
+from .graph import BAR_SUFFIX, Graph, SpanningTree, build_graph, is_connected
 
-BAR_SUFFIX = "~"
 # ASCII decimal digits only: int() would also take "1_2", "+1" and "٣"
 _ORDER_TEXT = re.compile(r"-?[0-9]+")
 # the interpreter's default int() digit limit, checked before int() so that
 # library callers and the CLI (which lifts that limit) reject the same text
 MAX_ORDER_DIGITS = 4300
+# a bad order token longer than this is cut in the error message
+MAX_ECHO = 32
 
 
 @dataclass(frozen=True)
@@ -119,24 +121,13 @@ def build_gog(
     vertex_orders: dict[str, int],
     edge_specs: list[tuple[str, str, str, int]],
 ) -> GraphOfGroups:
-    """Build and validate a datum from (name, origin, terminus, order) edges.
-
-    Synthesizes the half-edge pair name/name~ for each entry, like the parser.
-    """
-    for v in vertex_orders:
-        if BAR_SUFFIX in v:
-            raise GogSyntaxError(f"vertex id {v!r} contains reserved '~'")
-    records = []
-    edge_order: dict[str, int] = {}
-    for name, o, t, order in edge_specs:
-        if BAR_SUFFIX in name:
-            raise GogSyntaxError(f"edge id {name!r} contains reserved '~'")
-        back = name + BAR_SUFFIX
-        records.append((name, back, o, t))
-        records.append((back, name, t, o))
-        edge_order[name] = order
-        edge_order[back] = order
-    graph = build_graph(sorted(vertex_orders), records)
+    """Build and validate a datum from (name, origin, terminus, order) edges;
+    ``build_graph`` makes the half-edge pair name/name~ of each."""
+    specs = list(edge_specs)  # read twice below
+    graph = build_graph(list(vertex_orders), [spec[:3] for spec in specs])
+    edge_order = {
+        e: order for name, _, _, order in specs for e in (name, graph.bar[name])
+    }
     return GraphOfGroups(graph, dict(vertex_orders), edge_order)
 
 
@@ -187,7 +178,10 @@ def parse_gog(text: str) -> GraphOfGroups:
 
 def _parse_order(s: str, lineno: int) -> int:
     if not _ORDER_TEXT.fullmatch(s):
-        raise GogSyntaxError(f"line {lineno}: order {s!r} is not an integer")
+        shown = repr(s)
+        if len(s) > MAX_ECHO:
+            shown = f"{s[:MAX_ECHO]!r}... ({len(s)} characters)"
+        raise GogSyntaxError(f"line {lineno}: order {shown} is not an integer")
     digits = len(s.lstrip("-"))
     if digits > MAX_ORDER_DIGITS:
         raise TooLarge(
@@ -211,8 +205,5 @@ def serialize_gog(gog: GraphOfGroups) -> str:
     g = gog.graph
     lines = [f"vertex {v} {gog.vertex_order[v]}" for v in g.vertices]
     for e in g.orientation_reps():
-        name = e[:-1] if e.endswith(BAR_SUFFIX) else e
-        lines.append(
-            f"edge {name} {g.origin[e]} {g.terminus[e]} {gog.edge_order[e]}"
-        )
+        lines.append(f"edge {e} {g.origin[e]} {g.terminus[e]} {gog.edge_order[e]}")
     return "\n".join(lines) + "\n"

@@ -6,6 +6,10 @@ Half-edges come in pairs exchanged by a fixed-point-free involution
 Loops and multiple edges are allowed; a *geometric edge* is a pair
 {e, bar(e)} and an orientation selects one half-edge from each pair.
 
+``build_graph`` makes each pair from one geometric edge (name, o, t):
+``name`` runs o -> t and ``name~`` back, so the axioms hold by construction
+and ``name`` < ``name~`` is the orientation representative.
+
 All ids are opaque strings ordered lexicographically; every traversal
 visits ids in ascending order, so spanning trees and orientations are
 reproducible. Values are immutable once built.
@@ -17,14 +21,9 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import (
-    BrokenInvolution,
-    DanglingVertexRef,
-    FixedPointInvolution,
-    IncidenceMismatch,
-    NotConnected,
-    UnknownRoot,
-)
+from .errors import DanglingVertexRef, GogSyntaxError, NotConnected, UnknownRoot
+
+BAR_SUFFIX = "~"
 
 
 @dataclass(frozen=True)
@@ -71,42 +70,36 @@ class SpanningTree:
 
 def build_graph(
     vertex_ids: list[str] | tuple[str, ...],
-    edge_records: list[tuple[str, str, str, str]],
+    edges: list[tuple[str, str, str]],
 ) -> Graph:
-    """Assemble a Graph from half-edge records (id, bar id, origin, terminus).
+    """Assemble a Graph from geometric edges (name, origin, terminus).
 
-    Both members of every pair must be listed, each naming the other as its
-    bar. Raises FixedPointInvolution, BrokenInvolution, IncidenceMismatch,
-    or DanglingVertexRef on malformed input.
+    Each edge becomes the half-edge pair name/name~. Raises GogSyntaxError
+    for an id containing '~' or a repeated vertex or edge id, and
+    DanglingVertexRef for an endpoint that is not a vertex.
     """
     vertices = tuple(sorted(vertex_ids))
-    if len(set(vertices)) != len(vertices):
-        raise DanglingVertexRef("duplicate vertex id")
+    for v in vertices:
+        if BAR_SUFFIX in v:
+            raise GogSyntaxError(f"vertex id {v!r} contains reserved '~'")
     vset = set(vertices)
+    if len(vset) != len(vertices):
+        raise GogSyntaxError("duplicate vertex id")
 
     bar: dict[str, str] = {}
     origin: dict[str, str] = {}
     terminus: dict[str, str] = {}
-    for eid, bid, o, t in edge_records:
-        if eid in bar:
-            raise BrokenInvolution(f"duplicate half-edge id {eid!r}")
-        if eid == bid:
-            raise FixedPointInvolution(f"half-edge {eid!r} is its own reversal")
-        if o not in vset:
-            raise DanglingVertexRef(f"edge {eid!r} origin {o!r} is not a vertex")
-        if t not in vset:
-            raise DanglingVertexRef(f"edge {eid!r} terminus {t!r} is not a vertex")
-        bar[eid], origin[eid], terminus[eid] = bid, o, t
-
-    for e, b in bar.items():
-        if b not in bar:
-            raise BrokenInvolution(f"half-edge {e!r} names missing reversal {b!r}")
-        if bar[b] != e:
-            raise BrokenInvolution(f"reversal of {e!r} and {b!r} is not symmetric")
-        if terminus[b] != origin[e]:
-            raise IncidenceMismatch(
-                f"terminus(bar({e!r})) != origin({e!r})"
-            )
+    for name, o, t in edges:
+        if BAR_SUFFIX in name:
+            raise GogSyntaxError(f"edge id {name!r} contains reserved '~'")
+        if name in bar:
+            raise GogSyntaxError(f"duplicate edge {name!r}")
+        for end, v in (("origin", o), ("terminus", t)):
+            if v not in vset:
+                raise DanglingVertexRef(f"edge {name!r} {end} {v!r} is not a vertex")
+        back = name + BAR_SUFFIX
+        bar[name], origin[name], terminus[name] = back, o, t
+        bar[back], origin[back], terminus[back] = name, t, o
 
     return Graph(
         vertices=vertices,

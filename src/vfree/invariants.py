@@ -25,35 +25,34 @@ from .errors import NonIntegralRank
 from .gog import GraphOfGroups, NormalizedGog
 
 
+def _factorize(n: int) -> dict[int, int]:
+    """prime -> exponent, by trial division that divides out each prime it
+    finds; only a large prime factor still costs up to sqrt(n) steps."""
+    if n < 1:
+        raise ValueError(f"factorization requires n >= 1, got {n}")
+    powers: dict[int, int] = {}
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            n //= p
+            powers[p] = powers.get(p, 0) + 1
+        p += 1
+    if n > 1:
+        powers[n] = 1
+    return powers
+
+
 def divisors(n: int) -> list[int]:
-    """Positive divisors of n, ascending."""
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+    """Positive divisors of n >= 1, ascending."""
+    divs = [1]
+    for p, k in _factorize(n).items():
+        divs = [d * p**i for d in divs for i in range(k + 1)]
+    return sorted(divs)
 
 
 def totient(n: int) -> int:
-    """Euler's totient, by trial-division factorization."""
-    if n < 1:
-        raise ValueError(f"totient requires n >= 1, got {n}")
-    result = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
-    return result
+    """Euler's totient of n >= 1, from its factorization."""
+    return math.prod(p ** (k - 1) * (p - 1) for p, k in _factorize(n).items())
 
 
 @dataclass(frozen=True)

@@ -217,11 +217,8 @@ def random_tree_graph(rng: random.Random, max_geometric_edges: int = 10) -> Grap
     """A random tree as a half-edge graph (random attachment order)."""
     n_edges = rng.randint(0, max_geometric_edges)
     vertices = [f"v{i:02d}" for i in range(1, n_edges + 2)]
-    records = []
-    for i in range(2, n_edges + 2):
-        u = f"v{rng.randint(1, i - 1):02d}"
-        v = f"v{i:02d}"
-        name = f"e{i - 1:02d}"
-        records.append((name, name + "~", u, v))
-        records.append((name + "~", name, v, u))
-    return build_graph(vertices, records)
+    edges = [
+        (f"e{i - 1:02d}", f"v{rng.randint(1, i - 1):02d}", f"v{i:02d}")
+        for i in range(2, n_edges + 2)
+    ]
+    return build_graph(vertices, edges)

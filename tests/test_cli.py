@@ -16,6 +16,8 @@ DIHEDRAL = "vertex a 2\nvertex b 2\nedge s a b 1\n"
 F2 = "vertex v 1\nedge p v v 1\nedge q v v 1\n"
 C2C3 = "vertex a 2\nvertex b 3\nedge s a b 1\n"
 COLLAPSIBLE = "vertex a 4\nvertex b 2\nedge s a b 2\n"
+# m = mu = 10^18 = 2^18 * 5^18: its 361 divisors come from one factorization
+HUGE_LOOP = "vertex a 1000000000000000000\nedge l a a 1\n"
 BAD_DIVISIBILITY = "vertex a 2\nvertex b 3\nedge s a b 2\n"
 DIVISIBILITY_ERROR = "edge order 2 does not divide order 3 at vertex b"
 # m = 24, mu = 34: f_50 is the first count past 4300 decimal digits
@@ -107,6 +109,19 @@ class TestCount:
         assert code == 0
         assert out.splitlines() == ["1 1 1/2", "2 1 3/8", "3 1 5/16"]
 
+    def test_g_column_builds_g_once(self, gog_file, capsys, monkeypatch):
+        calls = []
+        g_series = counting.g_series
+
+        def counted(gog, N):
+            calls.append(N)
+            return g_series(gog, N)
+
+        monkeypatch.setattr(counting, "g_series", counted)
+        code, out, _ = run(capsys, "count", "--terms", "3", "--g", gog_file(DIHEDRAL))
+        assert (code, out.splitlines()) == (0, ["1 1 1/2", "2 1 3/8", "3 1 5/16"])
+        assert calls == [3]
+
     def test_counts_past_digit_limit(self, gog_file, capsys):
         limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
         code, out, _ = run(capsys, "count", "--terms", "60", gog_file(BIG))
@@ -154,6 +169,15 @@ class TestInvariants:
         assert "mu=2" in lines
 
 
+    def test_huge_order(self, gog_file, capsys):
+        code, out, _ = run(capsys, "invariants", gog_file(HUGE_LOOP))
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "m=1000000000000000000"
+        assert sum(line.startswith("zeta_") for line in lines) == 361
+        assert "mu=1000000000000000000" in lines
+
+
 class TestNormalize:
     def test_collapses_and_logs_steps(self, gog_file, capsys):
         code, out, _ = run(capsys, "normalize", "--steps", gog_file(COLLAPSIBLE))
@@ -186,6 +210,11 @@ class TestClassify:
         text = serialize_gog(free_bouquet(3))
         code, out, _ = run(capsys, "classify", gog_file(text))
         assert out.splitlines()[0] == "rank=3 class=HIGHER m=1"
+
+    def test_huge_order(self, gog_file, capsys):
+        assert run(capsys, "classify", gog_file(HUGE_LOOP)) == (
+            0, "rank=1000000000000000000 class=HIGHER m=1000000000000000000\n", ""
+        )
 
     @pytest.mark.parametrize(
         "text, expected",

@@ -85,6 +85,17 @@ class TestParse:
             parse_gog(f"vertex a {order}\n")
         assert exc.value.message == f"line 1: {message}"
 
+    @pytest.mark.parametrize("length", [32, 33, 5000])
+    def test_long_order_token_is_cut(self, length):
+        with pytest.raises(GogSyntaxError) as exc:
+            parse_gog("vertex a 2\nvertex b " + "x" * length + "\n")
+        message = str(exc.value)
+        assert "\n" not in message and len(message) < 120
+        assert message.startswith("SyntaxError: line 2: order 'xxx")
+        assert message.endswith("is not an integer")
+        assert ("x" * 32 + "'") in message
+        assert (f"({length} characters)" in message) == (length > 32)
+
     def test_order_past_the_int_digit_limit(self):
         # library callers keep the interpreter's limit on int() of a long
         # string (only the CLI lifts it, to 0); the digit cap is checked
@@ -110,7 +121,7 @@ class TestParse:
         assert parse_gog("vertex a " + "1" * 4300 + "\n").vertex_order["a"] > 0
 
 
-SEGMENT = build_graph(["a", "b"], [("s", "s~", "a", "b"), ("s~", "s", "b", "a")])
+SEGMENT = build_graph(["a", "b"], [("s", "a", "b")])
 
 
 class TestValidate:
@@ -140,6 +151,14 @@ class TestValidate:
         with pytest.raises(EmptyGraph) as exc:
             GraphOfGroups(build_graph([], []), {}, {})
         assert exc.value.offender is None
+
+    @pytest.mark.parametrize(
+        "vertices, edges",
+        [({"a~": 1}, []), ({"a": 1}, [("s~", "a", "a", 1)])],
+    )
+    def test_build_reserved_tilde_raises(self, vertices, edges):
+        with pytest.raises(GogSyntaxError):
+            build_gog(vertices, edges)
 
     def test_build_empty_raises(self):
         with pytest.raises(EmptyGraph):

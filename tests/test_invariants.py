@@ -43,6 +43,50 @@ class TestTotientAndDivisors:
         assert divisors(49) == [1, 7, 49]
 
 
+    def test_against_one_trial_division_loop_each(self):
+        # the definitions before both were derived from one factorization
+        def old_divisors(n):
+            small, large = [], []
+            d = 1
+            while d * d <= n:
+                if n % d == 0:
+                    small.append(d)
+                    if d != n // d:
+                        large.append(n // d)
+                d += 1
+            return small + large[::-1]
+
+        def old_totient(n):
+            result, m, p = n, n, 2
+            while p * p <= m:
+                if m % p == 0:
+                    while m % p == 0:
+                        m //= p
+                    result -= result // p
+                p += 1
+            if m > 1:
+                result -= result // m
+            return result
+
+        for n in range(1, 20001):
+            assert divisors(n) == old_divisors(n)
+            assert totient(n) == old_totient(n)
+
+    def test_large_smooth_number(self):
+        n = 10**18
+        divs = divisors(n)
+        assert len(divs) == 19 * 19
+        assert divs[0] == 1 and divs[-1] == n and divs == sorted(divs)
+        assert totient(n) == n * 2 // 5
+
+    @pytest.mark.parametrize("n", [0, -4])
+    def test_nonpositive_raises(self, n):
+        with pytest.raises(ValueError):
+            divisors(n)
+        with pytest.raises(ValueError):
+            totient(n)
+
+
 class TestMGamma:
     def test_dihedral(self):
         assert m_gamma(dihedral()) == 2

@@ -46,15 +46,9 @@ class TestFreeGroupCounts:
 
 class TestOrientationUniqueness:
     def test_short_path(self):
-        g = random_tree_graph(random.Random(1), 0)
-        # build a concrete 2-edge path instead
         from vfree.graph import build_graph
 
-        records = []
-        for name, o, t in [("e1", "a", "b"), ("e2", "b", "c")]:
-            records.append((name, name + "~", o, t))
-            records.append((name + "~", name, t, o))
-        path = build_graph(["a", "b", "c"], records)
+        path = build_graph(["a", "b", "c"], [("e1", "a", "b"), ("e2", "b", "c")])
         tree = spanning_tree(path, "a")
         assert orientation_uniqueness(tree, "a")
         assert orientation_uniqueness(tree, "b")
@@ -69,12 +63,8 @@ class TestOrientationUniqueness:
     def test_star_from_center(self):
         from vfree.graph import build_graph
 
-        records = []
-        for i in range(1, 4):
-            name = f"e{i}"
-            records.append((name, name + "~", "c", f"l{i}"))
-            records.append((name + "~", name, f"l{i}", "c"))
-        star = build_graph(["c", "l1", "l2", "l3"], records)
+        edges = [(f"e{i}", "c", f"l{i}") for i in range(1, 4)]
+        star = build_graph(["c", "l1", "l2", "l3"], edges)
         tree = spanning_tree(star, "c")
         assert orientation_uniqueness(tree, "c")
         assert orientation_uniqueness(tree, "l2")
@@ -83,11 +73,8 @@ class TestOrientationUniqueness:
         # only the tree edges are oriented; the cycle-closing edge e3 is not
         from vfree.graph import build_graph
 
-        records = []
-        for name, o, t in [("e1", "a", "b"), ("e2", "b", "c"), ("e3", "c", "a")]:
-            records.append((name, name + "~", o, t))
-            records.append((name + "~", name, t, o))
-        tree = spanning_tree(build_graph(["a", "b", "c"], records), "a")
+        edges = [("e1", "a", "b"), ("e2", "b", "c"), ("e3", "c", "a")]
+        tree = spanning_tree(build_graph(["a", "b", "c"], edges), "a")
         assert all(orientation_uniqueness(tree, v) for v in "abc")
 
     def test_random_trees(self):
@@ -101,12 +88,8 @@ class TestOrientationUniqueness:
     def test_size_cap(self):
         from vfree.graph import build_graph
 
-        records = []
-        for i in range(1, 22):
-            name = f"e{i:02d}"
-            records.append((name, name + "~", f"v{i:02d}", f"v{i + 1:02d}"))
-            records.append((name + "~", name, f"v{i + 1:02d}", f"v{i:02d}"))
-        big = build_graph([f"v{i:02d}" for i in range(1, 23)], records)
+        edges = [(f"e{i:02d}", f"v{i:02d}", f"v{i + 1:02d}") for i in range(1, 22)]
+        big = build_graph([f"v{i:02d}" for i in range(1, 23)], edges)
         big_tree = spanning_tree(big, "v01")
         with pytest.raises(TooLarge):
             orientation_uniqueness(big_tree, "v01")
