@@ -21,7 +21,6 @@ from .counting import (
     g_series,
     growth_check,
     ode_check,
-    parity_profile,
     theta_coeffs,
 )
 from .errors import VfreeError
@@ -95,7 +94,6 @@ __all__ = [
     "ode_check",
     "orient_from_root",
     "orientation_uniqueness",
-    "parity_profile",
     "parse_gog",
     "random_gog",
     "serialize_gog",

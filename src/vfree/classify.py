@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
 from .counting import f_series
 from .errors import UnclassifiableShape
@@ -241,14 +240,14 @@ def largeness_report(ngog: NormalizedGog, N: int) -> LargenessReport:
         if not is_tree or len(geom) >= 2:
             structural = True
         else:
-            # single-edge tree: decide by the amalgam's Euler characteristic
+            # single-edge tree: an amalgam of indices a, b >= 2 (the datum is
+            # normalized) is large unless (a, b) = (2, 2), virtually cyclic
             e = geom[0]
+            s = gog.edge_order[e]
             structural = (
-                Fraction(1, gog.vertex_order[g.origin[e]])
-                + Fraction(1, gog.vertex_order[g.terminus[e]])
-                - Fraction(1, gog.edge_order[e])
-                < 0
-            )
+                gog.vertex_order[g.origin[e]] // s,
+                gog.vertex_order[g.terminus[e]] // s,
+            ) != (2, 2)
 
     f = f_series(gog, N)
     increasing = all(f[i] < f[i + 1] for i in range(len(f) - 1))

@@ -38,7 +38,6 @@ truncated into a wrong count.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from fractions import Fraction
 
 from .errors import (
@@ -50,7 +49,7 @@ from .errors import (
     WrongRank,
 )
 from .gog import GraphOfGroups, NormalizedGog
-from .invariants import free_rank, m_gamma, type_vector
+from .invariants import _net_orders, free_rank, m_gamma, type_vector
 from .normalize import normalize
 
 
@@ -61,11 +60,9 @@ def g_series(gog: GraphOfGroups, N: int) -> list[Fraction]:
     that ode_check remains an independent test of the result. Independent
     of the orientation, since edge orders agree on {e, bar(e)}.
     """
-    m = m_gamma(gog)
-    net = Counter(gog.edge_order[e] for e in gog.graph.orientation_reps())
-    net.subtract(gog.vertex_order.values())
+    m, net = _net_orders(gog)
     # per order d with c_d != 0: (m/d, d^(m/d), c_d)
-    steps = [(m // d, d ** (m // d), c) for d, c in net.items() if c]
+    steps = [(m // d, d ** (m // d), c) for d, c in net.items()]
     g = Fraction(1)
     out = [g]
     for lam in range(1, N + 1):
@@ -251,11 +248,6 @@ def f_series_rank2(class_label: str, params: dict[str, int], N: int) -> list[int
             nxt += f[u - 1] * f[lam - u - 1]
         f.append(nxt)
     return f[:N]
-
-
-def parity_profile(f: list[int]) -> list[bool]:
-    """True where f_l is odd."""
-    return [x % 2 == 1 for x in f]
 
 
 def is_triple_c2_shape(ngog: NormalizedGog) -> bool:

@@ -4,6 +4,16 @@ Every error carries a ``code`` string that the CLI prints verbatim on
 stderr, so scripts can match on it without parsing prose.
 """
 
+# an echoed token longer than this is cut in an error message
+MAX_ECHO = 32
+
+
+def echo(token: str) -> str:
+    """repr(token), cut to MAX_ECHO characters with its length if longer."""
+    if len(token) <= MAX_ECHO:
+        return repr(token)
+    return f"{token[:MAX_ECHO]!r}... ({len(token)} characters)"
+
 
 class VfreeError(Exception):
     """Base class for all library errors."""

@@ -40,6 +40,7 @@ from .errors import (
     NotConnected,
     NotNormalized,
     TooLarge,
+    echo,
 )
 from .graph import BAR_SUFFIX, Graph, SpanningTree, build_graph, is_connected
 
@@ -48,8 +49,6 @@ _ORDER_TEXT = re.compile(r"-?[0-9]+")
 # the interpreter's default int() digit limit, checked before int() so that
 # library callers and the CLI (which lifts that limit) reject the same text
 MAX_ORDER_DIGITS = 4300
-# a bad order token longer than this is cut in the error message
-MAX_ECHO = 32
 
 
 @dataclass(frozen=True)
@@ -148,10 +147,7 @@ def parse_gog(text: str) -> GraphOfGroups:
             if len(fields) != 3:
                 raise GogSyntaxError(f"line {lineno}: expected 'vertex <id> <order>'")
             _, vid, order_s = fields
-            if BAR_SUFFIX in vid:
-                raise GogSyntaxError(f"line {lineno}: id {vid!r} contains reserved '~'")
-            if vid in vertex_orders:
-                raise GogSyntaxError(f"line {lineno}: duplicate vertex {vid!r}")
+            _check_id(vid, vertex_orders, "vertex", lineno)
             vertex_orders[vid] = _parse_order(order_s, lineno)
         elif kind == "edge":
             if len(fields) != 5:
@@ -159,29 +155,29 @@ def parse_gog(text: str) -> GraphOfGroups:
                     f"line {lineno}: expected 'edge <id> <origin> <terminus> <order>'"
                 )
             _, eid, o, t, order_s = fields
-            if BAR_SUFFIX in eid:
-                raise GogSyntaxError(f"line {lineno}: id {eid!r} contains reserved '~'")
-            if eid in edge_names:
-                raise GogSyntaxError(f"line {lineno}: duplicate edge {eid!r}")
+            _check_id(eid, edge_names, "edge", lineno)
             order = _parse_order(order_s, lineno)
-            if o not in vertex_orders:
-                raise DanglingVertexRef(f"line {lineno}: unknown vertex {o!r}")
-            if t not in vertex_orders:
-                raise DanglingVertexRef(f"line {lineno}: unknown vertex {t!r}")
+            for v in (o, t):
+                if v not in vertex_orders:
+                    raise DanglingVertexRef(f"line {lineno}: unknown vertex {echo(v)}")
             edge_names.add(eid)
             edge_specs.append((eid, o, t, order))
         else:
-            raise GogSyntaxError(f"line {lineno}: unknown directive {kind!r}")
+            raise GogSyntaxError(f"line {lineno}: unknown directive {echo(kind)}")
 
     return build_gog(vertex_orders, edge_specs)
 
 
+def _check_id(ident: str, seen: dict | set, kind: str, lineno: int) -> None:
+    if BAR_SUFFIX in ident:
+        raise GogSyntaxError(f"line {lineno}: id {echo(ident)} contains reserved '~'")
+    if ident in seen:
+        raise GogSyntaxError(f"line {lineno}: duplicate {kind} {echo(ident)}")
+
+
 def _parse_order(s: str, lineno: int) -> int:
     if not _ORDER_TEXT.fullmatch(s):
-        shown = repr(s)
-        if len(s) > MAX_ECHO:
-            shown = f"{s[:MAX_ECHO]!r}... ({len(s)} characters)"
-        raise GogSyntaxError(f"line {lineno}: order {shown} is not an integer")
+        raise GogSyntaxError(f"line {lineno}: order {echo(s)} is not an integer")
     digits = len(s.lstrip("-"))
     if digits > MAX_ORDER_DIGITS:
         raise TooLarge(

@@ -21,7 +21,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import DanglingVertexRef, GogSyntaxError, NotConnected, UnknownRoot
+from .errors import DanglingVertexRef, GogSyntaxError, NotConnected, UnknownRoot, echo
 
 BAR_SUFFIX = "~"
 
@@ -81,7 +81,7 @@ def build_graph(
     vertices = tuple(sorted(vertex_ids))
     for v in vertices:
         if BAR_SUFFIX in v:
-            raise GogSyntaxError(f"vertex id {v!r} contains reserved '~'")
+            raise GogSyntaxError(f"vertex id {echo(v)} contains reserved '~'")
     vset = set(vertices)
     if len(vset) != len(vertices):
         raise GogSyntaxError("duplicate vertex id")
@@ -91,12 +91,14 @@ def build_graph(
     terminus: dict[str, str] = {}
     for name, o, t in edges:
         if BAR_SUFFIX in name:
-            raise GogSyntaxError(f"edge id {name!r} contains reserved '~'")
+            raise GogSyntaxError(f"edge id {echo(name)} contains reserved '~'")
         if name in bar:
-            raise GogSyntaxError(f"duplicate edge {name!r}")
+            raise GogSyntaxError(f"duplicate edge {echo(name)}")
         for end, v in (("origin", o), ("terminus", t)):
             if v not in vset:
-                raise DanglingVertexRef(f"edge {name!r} {end} {v!r} is not a vertex")
+                raise DanglingVertexRef(
+                    f"edge {echo(name)} {end} {echo(v)} is not a vertex"
+                )
         back = name + BAR_SUFFIX
         bar[name], origin[name], terminus[name] = back, o, t
         bar[back], origin[back], terminus[back] = name, t, o

@@ -20,7 +20,14 @@ from vfree.errors import (
 )
 from vfree.gog import GraphOfGroups
 from vfree.graph import spanning_tree
-from vfree.invariants import euler_char, free_rank, m_gamma, type_vector
+from vfree.invariants import (
+    TypeVector,
+    divisors,
+    euler_char,
+    free_rank,
+    m_gamma,
+    type_vector,
+)
 from vfree.normalize import contract_edge, find_trivial_edge
 from vfree.oracle import random_gog
 
@@ -84,6 +91,42 @@ def invariant_signature(gog: GraphOfGroups, depth: int = 0, with_g: bool = False
         if with_g:
             sig = sig + (tuple(g_series(gog, depth)),)
     return sig
+
+
+# --- direct invariant formulas ---------------------------------------------------
+
+def euler_char_direct(gog: GraphOfGroups) -> Fraction:
+    """sum(1/|G_v|) - sum(1/|G_e|), one Fraction per vertex and geometric
+    edge. The reference for ``euler_char``, which sums over distinct orders."""
+    chi = Fraction(0)
+    for v in gog.graph.vertices:
+        chi += Fraction(1, gog.vertex_order[v])
+    for e in gog.graph.orientation_reps():
+        chi -= Fraction(1, gog.edge_order[e])
+    return chi
+
+
+def type_vector_direct(gog: GraphOfGroups) -> TypeVector:
+    """zeta_k = #{geometric edges with |G_e| | k} - #{vertices with |G_v| | k},
+    counted afresh for each divisor k of m. The reference for
+    ``type_vector``, which reads the net order multiplicities."""
+    m = m_gamma(gog)
+    edge_orders = [gog.edge_order[e] for e in gog.graph.orientation_reps()]
+    vertex_orders = list(gog.vertex_order.values())
+    zeta = {}
+    for k in divisors(m):
+        zeta[k] = sum(1 for s in edge_orders if k % s == 0) - sum(
+            1 for n in vertex_orders if k % n == 0
+        )
+    return TypeVector(m=m, zeta=zeta)
+
+
+def assert_invariants_direct(gog: GraphOfGroups) -> None:
+    """euler_char, type_vector and free_rank equal the direct formulas."""
+    chi = euler_char_direct(gog)
+    assert euler_char(gog) == chi
+    assert type_vector(gog) == type_vector_direct(gog)
+    assert free_rank(gog) == 1 - m_gamma(gog) * chi
 
 
 # --- reference closed form -------------------------------------------------------

@@ -14,6 +14,7 @@ import pytest
 
 from helpers import (
     dihedral,
+    euler_char_direct,
     hnn_loop,
     invariant_signature,
     terminal_data_all_orders,
@@ -25,7 +26,6 @@ from vfree.counting import f_series, f_series_rank2, g_series
 from vfree.graph import spanning_tree
 from vfree.invariants import (
     check_edge_bound,
-    euler_char,
     euler_from_type,
     free_rank,
     type_vector,
@@ -158,7 +158,7 @@ def test_criterion_07_ode_consistency():
 
 def test_criterion_08_type_euler_identity(random_corpus):
     for gog in random_corpus:
-        assert euler_from_type(type_vector(gog)) == euler_char(gog)
+        assert euler_from_type(type_vector(gog)) == euler_char_direct(gog)
     report(8, f"type-based and direct Euler characteristics agree on {RANDOM_COUNT} data")
 
 

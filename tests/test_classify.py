@@ -25,7 +25,7 @@ from vfree.classify import (
 from vfree.counting import f_series, f_series_rank2
 from vfree.errors import WrongRank
 from vfree.gog import build_gog
-from vfree.invariants import euler_char, free_rank
+from vfree.invariants import divisors, euler_char, free_rank
 from vfree.normalize import normalize
 from vfree.oracle import exhaustive_rank2_shapes
 
@@ -201,6 +201,23 @@ class TestLargeness:
             ngog, _ = normalize(gog)
             rep = largeness_report(ngog, 8)
             assert rep.f_strictly_increasing_prefix == (free_rank(gog) >= 2)
+
+    def test_single_segment_is_structural_unless_indices_are_2_2(self):
+        # decided from the index pair, so agreeing with chi and mu here is
+        # the paper's equivalence, not one number computed twice
+        seen = 0
+        for a in range(2, 25):
+            for b in range(a, 25):
+                for s in divisors(math.gcd(a, b)):
+                    if s == a:
+                        continue  # a trivial edge, contracted by normalize
+                    ngog, _ = normalize(segment(a, s, b))
+                    assert len(ngog.gog.graph.vertices) == 2
+                    rep = largeness_report(ngog, 2)
+                    assert rep.structural_vii == ((a // s, b // s) != (2, 2))
+                    assert rep.chi_negative == rep.rank_ge_2 == rep.structural_vii
+                    seen += 1
+        assert seen == 407
 
     def test_structural_on_non_tree_multivertex(self):
         rep = largeness_report(normalize(double_edge(4, 2, 4, 4))[0], 6)

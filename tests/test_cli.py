@@ -18,6 +18,10 @@ C2C3 = "vertex a 2\nvertex b 3\nedge s a b 1\n"
 COLLAPSIBLE = "vertex a 4\nvertex b 2\nedge s a b 2\n"
 # m = mu = 10^18 = 2^18 * 5^18: its 361 divisors come from one factorization
 HUGE_LOOP = "vertex a 1000000000000000000\nedge l a a 1\n"
+# m = 2^6 * 3^4 * 5^2 * 7 * 11 * 13 * 17 * 19 * 23 (6,720 divisors), 5,000 loops
+COMPOSITE_LOOPS = "vertex v 963761198400\n" + "".join(
+    f"edge l{i} v v 1\n" for i in range(5000)
+)
 BAD_DIVISIBILITY = "vertex a 2\nvertex b 3\nedge s a b 2\n"
 DIVISIBILITY_ERROR = "edge order 2 does not divide order 3 at vertex b"
 # m = 24, mu = 34: f_50 is the first count past 4300 decimal digits
@@ -177,6 +181,17 @@ class TestInvariants:
         assert sum(line.startswith("zeta_") for line in lines) == 361
         assert "mu=1000000000000000000" in lines
 
+    def test_highly_composite_m_with_many_loops(self, gog_file, capsys):
+        # c = {1: 5000, m: -1}, so zeta_k = 5000 for k < m and mu = 5000*m
+        code, out, _ = run(capsys, "invariants", gog_file(COMPOSITE_LOOPS))
+        assert code == 0
+        lines = out.splitlines()
+        zeta = [line for line in lines if line.startswith("zeta_")]
+        assert len(zeta) == 6720
+        assert zeta[:2] == ["zeta_1=5000", "zeta_2=5000"]
+        assert zeta[-1] == "zeta_963761198400=4999"
+        assert "mu=4818805992000000" in lines
+
 
 class TestNormalize:
     def test_collapses_and_logs_steps(self, gog_file, capsys):
@@ -214,6 +229,11 @@ class TestClassify:
     def test_huge_order(self, gog_file, capsys):
         assert run(capsys, "classify", gog_file(HUGE_LOOP)) == (
             0, "rank=1000000000000000000 class=HIGHER m=1000000000000000000\n", ""
+        )
+
+    def test_highly_composite_m_with_many_loops(self, gog_file, capsys):
+        assert run(capsys, "classify", gog_file(COMPOSITE_LOOPS)) == (
+            0, "rank=4818805992000000 class=HIGHER m=963761198400\n", ""
         )
 
     @pytest.mark.parametrize(
@@ -285,8 +305,8 @@ class TestLargeness:
 
 
 def first_count_plus_one(f_series):
-    def rigged(gog, N):
-        f = f_series(gog, N)
+    def rigged(*args):
+        f = f_series(*args)
         return [f[0] + 1] + f[1:]
 
     return rigged
@@ -356,7 +376,7 @@ class TestVerify:
     @pytest.mark.parametrize(
         "suite, module, name, rig, failing",
         [
-            ("convolution", counting, "f_series", first_count_plus_one,
+            ("convolution", counting, "_f_from_g", first_count_plus_one,
              "convolution-identity"),
             ("parity", counting, "f_series", first_count_plus_one, "parity-"),
             ("growth", counting, "f_series", first_count_plus_one, "growth-bound"),

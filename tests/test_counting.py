@@ -29,7 +29,6 @@ from vfree.counting import (
     growth_check,
     is_triple_c2_shape,
     ode_check,
-    parity_profile,
     theta_coeffs,
 )
 from vfree.errors import (
@@ -334,11 +333,8 @@ class TestRank2Recurrences:
 
 
 class TestParity:
-    def test_profile(self):
-        assert parity_profile([5, 60, 1105]) == [True, False, True]
-
     def test_c2_star_c3_odd_exactly_below_powers_of_two(self):
-        profile = parity_profile(f_series(c2_star_c3(), 64))
+        profile = [x % 2 == 1 for x in f_series(c2_star_c3(), 64)]
         odd_at = {lam for lam, odd in enumerate(profile, start=1) if odd}
         assert odd_at == {1, 3, 7, 15, 31, 63}
 
@@ -350,7 +346,7 @@ class TestParity:
             (triple_c2(), "v", {"m": 2}),
         ]
         for gog, label, params in cases:
-            actual = parity_profile(f_series(gog, 40))
+            actual = [x % 2 == 1 for x in f_series(gog, 40)]
             assert actual == predicted_parity(label, params, 40)
 
     def test_constant_classes(self):
@@ -368,7 +364,7 @@ class TestParity:
              "v", {"m": 4}),
         ]
         for gog, label, params in cases:
-            actual = parity_profile(f_series(gog, 40))
+            actual = [x % 2 == 1 for x in f_series(gog, 40)]
             predicted = predicted_parity(label, params, 40)
             assert len(set(actual)) == 1
             assert actual == predicted

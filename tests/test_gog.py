@@ -96,6 +96,41 @@ class TestParse:
         assert ("x" * 32 + "'") in message
         assert (f"({length} characters)" in message) == (length > 32)
 
+    @pytest.mark.parametrize(
+        "last, make, error, message",
+        [
+            ("x", parse_gog, GogSyntaxError, "line 1: unknown directive {}"),
+            ("~", lambda t: parse_gog(f"vertex {t} 2"), GogSyntaxError,
+             "line 1: id {} contains reserved '~'"),
+            ("~", lambda t: parse_gog(f"vertex a 2\nedge {t} a a 1"), GogSyntaxError,
+             "line 2: id {} contains reserved '~'"),
+            ("x", lambda t: parse_gog(f"vertex {t} 2\nvertex {t} 2"), GogSyntaxError,
+             "line 2: duplicate vertex {}"),
+            ("x", lambda t: parse_gog(f"vertex a 2\nedge {t} a a 1\nedge {t} a a 1"),
+             GogSyntaxError, "line 3: duplicate edge {}"),
+            ("x", lambda t: parse_gog(f"vertex a 2\nedge e a {t} 1"),
+             DanglingVertexRef, "line 2: unknown vertex {}"),
+            ("~", lambda t: build_graph([t], []), GogSyntaxError,
+             "vertex id {} contains reserved '~'"),
+            ("~", lambda t: build_graph(["a"], [(t, "a", "a")]), GogSyntaxError,
+             "edge id {} contains reserved '~'"),
+            ("x", lambda t: build_graph(["a"], [(t, "a", "a")] * 2), GogSyntaxError,
+             "duplicate edge {}"),
+            ("x", lambda t: build_graph(["a"], [(t, "a", t)]), DanglingVertexRef,
+             "edge {0} terminus {0} is not a vertex"),
+        ],
+    )
+    @pytest.mark.parametrize("length", [32, 33, 5000])
+    def test_long_token_is_cut(self, last, make, error, message, length):
+        token = "x" * (length - 1) + last
+        with pytest.raises(error) as exc:
+            make(token)
+        if length <= 32:
+            shown = f"'{token}'"
+        else:
+            shown = f"'{token[:32]}'... ({length} characters)"
+        assert exc.value.message == message.format(shown)
+
     def test_order_past_the_int_digit_limit(self):
         # library callers keep the interpreter's limit on int() of a long
         # string (only the CLI lifts it, to 0); the digit cap is checked

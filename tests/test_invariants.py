@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given, settings
 
 from helpers import (
+    assert_invariants_direct,
     c2_star_c3,
     dihedral,
+    euler_char_direct,
     free_bouquet,
     hnn_loop,
+    seeded_random_data,
     segment,
     small_gogs,
 )
@@ -25,6 +28,23 @@ from vfree.invariants import (
     type_vector,
 )
 from vfree.normalize import normalize
+from vfree.oracle import exhaustive_rank2_shapes
+
+# 2^6 * 3^4 * 5^2 * 7 * 11 * 13 * 17 * 19 * 23, with 6,720 divisors
+HIGHLY_COMPOSITE = 963761198400
+
+
+def highly_composite_datum():
+    """A vertex of order HIGHLY_COMPOSITE with 150 loops, and 100 leaf
+    vertices hung from it by segments, over seven distinct orders; small
+    enough that the per-divisor reference stays cheap."""
+    orders = [1, 2, 12, 360, 5040, 720720, HIGHLY_COMPOSITE]
+    vertices = {"v": HIGHLY_COMPOSITE}
+    edges = [(f"l{i}", "v", "v", orders[i % 7]) for i in range(150)]
+    for i in range(100):
+        vertices[f"w{i}"] = orders[3 + i % 4]
+        edges.append((f"s{i}", "v", f"w{i}", orders[i % 3]))
+    return build_gog(vertices, edges)
 
 
 class TestTotientAndDivisors:
@@ -160,7 +180,34 @@ class TestEulerFromType:
     @given(small_gogs())
     @settings(max_examples=80, deadline=None)
     def test_agrees_with_direct_formula(self, gog):
-        assert euler_from_type(type_vector(gog)) == euler_char(gog)
+        assert euler_from_type(type_vector(gog)) == euler_char_direct(gog)
+
+
+class TestAgainstDirectFormulas:
+    """euler_char, type_vector and free_rank read the net order
+    multiplicities; each is checked against a sum over every vertex and
+    edge (and, for zeta, over every divisor) in tests/helpers.py."""
+
+    @given(small_gogs())
+    @settings(max_examples=80, deadline=None)
+    def test_small_data(self, gog):
+        assert_invariants_direct(gog)
+
+    def test_seeded_random_data(self):
+        for gog in seeded_random_data(4, 200):
+            assert_invariants_direct(gog)
+
+    def test_order8_shapes(self):
+        shapes = exhaustive_rank2_shapes(8)
+        assert len(shapes) == 640
+        for gog in shapes:
+            assert_invariants_direct(gog)
+
+    def test_highly_composite_m(self):
+        gog = highly_composite_datum()
+        tv = type_vector(gog)
+        assert tv.m == HIGHLY_COMPOSITE and len(tv.zeta) == 6720
+        assert_invariants_direct(gog)
 
 
 class TestFreeRank:
