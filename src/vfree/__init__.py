@@ -6,99 +6,62 @@ free-subgroup counts (m, Euler characteristic, type, free rank), produces
 the exact counting series with their holonomic recurrences, and classifies
 the presented virtually free groups of free rank at most 2. Brute-force
 oracles validate the formulas at small scale.
+
+Each exported name is loaded from its submodule on first use (PEP 562),
+so a program pays only for the submodules it touches.
 """
 
-from .classify import (
-    ClassificationReport,
-    Label,
-    LargenessReport,
-    classify,
-    largeness_report,
-)
-from .counting import (
-    f_series,
-    f_series_rank2,
-    g_series,
-    growth_check,
-    ode_check,
-    theta_coeffs,
-)
-from .errors import VfreeError
-from .gog import (
-    GraphOfGroups,
-    NormalizedGog,
-    build_gog,
-    parse_gog,
-    serialize_gog,
-)
-from .graph import (
-    Graph,
-    SpanningTree,
-    build_graph,
-    is_connected,
-    orient_from_root,
-    spanning_tree,
-)
-from .invariants import (
-    TypeVector,
-    check_edge_bound,
-    divisors,
-    euler_char,
-    euler_from_type,
-    free_rank,
-    m_gamma,
-    totient,
-    type_vector,
-)
-from .normalize import ContractionStep, contract_edge, find_trivial_edge, normalize
-from .oracle import (
-    exhaustive_rank2_shapes,
-    free_group_subgroup_counts,
-    orientation_uniqueness,
-    random_gog,
-)
+import importlib
+import sys
+import types
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ClassificationReport",
-    "ContractionStep",
-    "Graph",
-    "GraphOfGroups",
-    "Label",
-    "LargenessReport",
-    "NormalizedGog",
-    "SpanningTree",
-    "TypeVector",
-    "VfreeError",
-    "build_gog",
-    "build_graph",
-    "check_edge_bound",
-    "classify",
-    "contract_edge",
-    "divisors",
-    "euler_char",
-    "euler_from_type",
-    "exhaustive_rank2_shapes",
-    "f_series",
-    "f_series_rank2",
-    "find_trivial_edge",
-    "free_group_subgroup_counts",
-    "free_rank",
-    "g_series",
-    "growth_check",
-    "is_connected",
-    "largeness_report",
-    "m_gamma",
-    "normalize",
-    "ode_check",
-    "orient_from_root",
-    "orientation_uniqueness",
-    "parse_gog",
-    "random_gog",
-    "serialize_gog",
-    "spanning_tree",
-    "theta_coeffs",
-    "totient",
-    "type_vector",
-]
+# submodule -> the names it exports
+_EXPORTS = {
+    "classify": (
+        "ClassificationReport", "Label", "LargenessReport", "classify", "largeness_report",
+    ),
+    "counting": (
+        "f_series", "f_series_rank2", "g_series", "growth_check", "ode_check", "theta_coeffs",
+    ),
+    "errors": ("VfreeError",),
+    "gog": ("GraphOfGroups", "NormalizedGog", "build_gog", "parse_gog", "serialize_gog"),
+    "graph": (
+        "Graph", "SpanningTree", "build_graph", "is_connected", "orient_from_root",
+        "spanning_tree",
+    ),
+    "invariants": (
+        "TypeVector", "check_edge_bound", "divisors", "euler_char", "euler_from_type",
+        "free_rank", "m_gamma", "totient", "type_vector",
+    ),
+    "normalize": ("ContractionStep", "contract_edge", "find_trivial_edge", "normalize"),
+    "oracle": (
+        "exhaustive_rank2_shapes", "free_group_subgroup_counts", "orientation_uniqueness",
+        "random_gog",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_HOME))
+
+
+class _Package(types.ModuleType):
+    def __setattr__(self, name: str, value) -> None:
+        # importing a submodule binds it on the package; `normalize` and
+        # `classify` must stay the functions of those names
+        if not (name in _HOME and isinstance(value, types.ModuleType)):
+            super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .counting import f_series
 from .errors import UnclassifiableShape
 from .gog import NormalizedGog
 from .invariants import TypeVector, euler_char, free_rank, type_vector
@@ -220,6 +219,8 @@ def largeness_report(ngog: NormalizedGog, N: int) -> LargenessReport:
     f_1..f_N. Criteria needing ends, the largeness preorder, or subgroup
     growth asymptotics are implied-equivalent but not computed here.
     """
+    from .counting import f_series  # here, so `vfree classify` never loads counting
+
     gog = ngog.gog
     g = gog.graph
     chi_negative = euler_char(gog) < 0

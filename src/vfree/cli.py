@@ -3,26 +3,23 @@
 Subcommands: validate, normalize, invariants, count, classify, largeness,
 verify. Output is deterministic (identical invocations are byte-identical);
 errors go to stderr as stable one-line codes. Exit codes: 0 success,
-1 validation error, 2 usage error, 3 property failure.
+1 validation error, 2 usage error, 3 property failure. Each subcommand
+imports the modules it runs, so start-up pays only for those.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 
-from . import counting, invariants
-from .classify import classify, largeness_report
-from .errors import GogSyntaxError, InvalidGog, VfreeError
+from .errors import GogSyntaxError, InvalidGog, VfreeError, cut
 from .gog import parse_gog, serialize_gog
-from .normalize import normalize
 from .properties import SUITES
 
 MAX_TERMS = 200
 
 
-def _frac(x: Fraction) -> str:
+def _frac(x) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
@@ -41,7 +38,7 @@ def cmd_validate(args) -> int:
     try:
         parse_gog(_read(args.file))
     except InvalidGog as exc:
-        where = f" at {exc.offender}" if exc.offender else ""
+        where = f" at {cut(exc.offender)}" if exc.offender else ""
         print(f"error {exc.code}{where}: {exc.message}", file=sys.stderr)
         return 1
     print("ok")
@@ -49,6 +46,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_normalize(args) -> int:
+    from .normalize import normalize
+
     gog = parse_gog(_read(args.file))
     ngog, steps = normalize(gog)
     if args.steps:
@@ -62,6 +61,9 @@ def cmd_normalize(args) -> int:
 
 
 def cmd_invariants(args) -> int:
+    from . import invariants
+    from .normalize import normalize
+
     gog = parse_gog(_read(args.file))
     tv = invariants.type_vector(gog)
     chi = invariants.euler_char(gog)
@@ -79,6 +81,8 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_count(args) -> int:
+    from . import counting
+
     gog = parse_gog(_read(args.file))
     n = args.terms
     g = counting.g_series(gog, n) if args.g else None
@@ -90,6 +94,9 @@ def cmd_count(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    from .classify import classify
+    from .normalize import normalize
+
     gog = parse_gog(_read(args.file))
     ngog, _ = normalize(gog)
     rep = classify(ngog)
@@ -100,6 +107,9 @@ def cmd_classify(args) -> int:
 
 
 def cmd_largeness(args) -> int:
+    from .classify import largeness_report
+    from .normalize import normalize
+
     gog = parse_gog(_read(args.file))
     ngog, _ = normalize(gog)
     rep = largeness_report(ngog, args.prefix)

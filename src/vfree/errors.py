@@ -8,11 +8,16 @@ stderr, so scripts can match on it without parsing prose.
 MAX_ECHO = 32
 
 
-def echo(token: str) -> str:
-    """repr(token), cut to MAX_ECHO characters with its length if longer."""
+def cut(token: str, show=str) -> str:
+    """show(token), cut to MAX_ECHO characters with its length if longer."""
     if len(token) <= MAX_ECHO:
-        return repr(token)
-    return f"{token[:MAX_ECHO]!r}... ({len(token)} characters)"
+        return show(token)
+    return f"{show(token[:MAX_ECHO])}... ({len(token)} characters)"
+
+
+def echo(token: str) -> str:
+    """repr(token), cut as cut() cuts it."""
+    return cut(token, repr)
 
 
 class VfreeError(Exception):

@@ -40,6 +40,7 @@ from .errors import (
     NotConnected,
     NotNormalized,
     TooLarge,
+    cut,
     echo,
 )
 from .graph import BAR_SUFFIX, Graph, SpanningTree, build_graph, is_connected
@@ -81,7 +82,7 @@ class NormalizedGog:
         for e in self.tree.tree_edges:
             if g.edge_order[e] >= g.vertex_order[g.graph.terminus[e]]:
                 raise NotNormalized(
-                    f"tree half-edge {e!r} has edge order "
+                    f"tree half-edge {echo(e)} has edge order "
                     f"{g.edge_order[e]} >= terminus order"
                 )
 
@@ -97,8 +98,8 @@ def check_valid(gog: GraphOfGroups) -> None:
     for e in g.half_edges:
         if gog.edge_order[e] != gog.edge_order[g.bar[e]]:
             raise EdgeOrderNotSymmetric(
-                f"order({e}) = {gog.edge_order[e]} != "
-                f"order({g.bar[e]}) = {gog.edge_order[g.bar[e]]}",
+                f"order({cut(e)}) = {gog.edge_order[e]} != "
+                f"order({cut(g.bar[e])}) = {gog.edge_order[g.bar[e]]}",
                 offender=e,
             )
 
@@ -108,7 +109,7 @@ def check_valid(gog: GraphOfGroups) -> None:
             n = gog.vertex_order[v]
             if s < 1 or n < 1 or n % s != 0:
                 raise DivisibilityViolation(
-                    f"edge order {s} does not divide order {n} at vertex {v}",
+                    f"edge order {s} does not divide order {n} at vertex {cut(v)}",
                     offender=e,
                 )
 

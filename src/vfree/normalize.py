@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotTreeEdge, NotTrivial
+from .errors import NotTreeEdge, NotTrivial, echo
 from .gog import GraphOfGroups, NormalizedGog
 from .graph import Graph, SpanningTree, spanning_tree
 
@@ -74,7 +74,7 @@ def contract_edge(
     if gog.edge_order[e1] != gog.vertex_order[removed]:
         raise NotTrivial(
             f"edge order {gog.edge_order[e1]} != order "
-            f"{gog.vertex_order[removed]} at {removed!r}"
+            f"{gog.vertex_order[removed]} at {echo(removed)}"
         )
 
     dropped = {e1, g.bar[e1]}

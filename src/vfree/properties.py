@@ -5,7 +5,8 @@ one triple per property; `bound` sizes the suite (data, terms or index).
 The checks re-derive each property from the counting series and the brute
 force oracles. They never call a predictor (the library's `growth_check`,
 the tests' `predicted_parity`), so a check never compares a helper with
-itself.
+itself. Each suite imports the layers it checks, so importing SUITES,
+which every CLI run does, stays cheap.
 """
 
 from __future__ import annotations
@@ -13,10 +14,8 @@ from __future__ import annotations
 import math
 import random
 
-from . import counting, invariants, oracle
 from .gog import build_gog
 from .graph import spanning_tree
-from .normalize import normalize
 
 
 def _bouquet(r: int):
@@ -24,6 +23,8 @@ def _bouquet(r: int):
 
 
 def suite_convolution(seed: int, bound: int):
+    from . import counting, invariants, oracle
+
     rng = random.Random(seed)
     n_data = bound
     depth = 12
@@ -46,6 +47,8 @@ def suite_convolution(seed: int, bound: int):
 
 
 def suite_ode(seed: int, bound: int):
+    from . import counting, invariants, oracle
+
     dihedral = build_gog({"a": 2, "b": 2}, [("s", "a", "b", 1)])
     data = oracle.exhaustive_rank2_shapes(min(bound, 8)) + [dihedral, _bouquet(2)]
     terms = 30
@@ -66,6 +69,8 @@ def suite_ode(seed: int, bound: int):
 
 
 def suite_parity(seed: int, bound: int):
+    from . import counting
+
     n = bound
     # odd exactly where lambda + 1 is a power of two
     alternating = [((lam + 1) & lam) == 0 for lam in range(1, n + 1)]
@@ -83,6 +88,9 @@ def suite_parity(seed: int, bound: int):
 
 
 def suite_growth(seed: int, bound: int):
+    from . import counting, invariants, oracle
+    from .normalize import normalize
+
     n = bound
     rank2 = [
         gog
@@ -112,6 +120,8 @@ def suite_growth(seed: int, bound: int):
 
 
 def suite_oracle(seed: int, bound: int):
+    from . import counting, oracle
+
     for r, n in ((2, min(bound, 5)), (3, min(bound, 4))):
         expected = oracle.free_group_subgroup_counts(r, n)
         got = counting.f_series(_bouquet(r), n)

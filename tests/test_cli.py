@@ -24,6 +24,8 @@ COMPOSITE_LOOPS = "vertex v 963761198400\n" + "".join(
 )
 BAD_DIVISIBILITY = "vertex a 2\nvertex b 3\nedge s a b 2\n"
 DIVISIBILITY_ERROR = "edge order 2 does not divide order 3 at vertex b"
+LONG_ID = "x" * 5000
+LONG_VERTEX = f"vertex {LONG_ID} 3\nvertex b 2\nedge s b {LONG_ID} 2\n"
 # m = 24, mu = 34: f_50 is the first count past 4300 decimal digits
 BIG = (
     "vertex a 12\nvertex b 8\nvertex c 6\n"
@@ -88,6 +90,23 @@ class TestValidate:
         code, out, err = run(capsys, "validate", gog_file("vertex a " + "7" * 5000 + "\n"))
         assert (code, out) == (1, "")
         assert err == "TooLarge: line 1: order has 5000 digits, more than 4300\n"
+
+    # validate names the half-edge at fault; every command names the vertex
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            ("validate", LONG_VERTEX),
+            ("validate", f"vertex a 2\nvertex b 3\nedge {LONG_ID} a b 2\n"),
+            ("invariants", LONG_VERTEX),
+            ("normalize", LONG_VERTEX),
+        ],
+        ids=["validate-vertex", "validate-edge", "invariants-vertex", "normalize-vertex"],
+    )
+    def test_long_ids_are_cut(self, gog_file, capsys, command, text):
+        code, out, err = run(capsys, command, gog_file(text))
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1 and len(err.encode()) < 200
+        assert "DivisibilityViolation" in err and "... (5000 characters)" in err
 
     def test_missing_file_is_usage_error(self, capsys):
         code, out, err = run(capsys, "validate", "/nonexistent/x.gog")
@@ -320,6 +339,12 @@ def one_g_term_doubled(g_series):
     return rigged
 
 
+VERIFY_USAGE = (
+    "usage: vfree verify [-h] [--seed SEED] [--bound BOUND]\n"
+    "                    {convolution,growth,ode,oracle,parity,all}\n"
+)
+
+
 class TestVerify:
     def test_parity_suite_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "parity", "--bound", "16")
@@ -356,10 +381,32 @@ class TestVerify:
         assert exc.value.code == 2
         assert "--bound must be in 1..200" in capsys.readouterr().err
 
-    def test_unknown_suite_is_usage_error(self, capsys):
+    def test_unknown_suite_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
         with pytest.raises(SystemExit) as exc:
             main(["verify", "bogus"])
         assert exc.value.code == 2
+        assert capsys.readouterr() == ("", VERIFY_USAGE + (
+            "vfree verify: error: argument suite: invalid choice: 'bogus' (choose from "
+            "'convolution', 'growth', 'ode', 'oracle', 'parity', 'all')\n"
+        ))
+
+    def test_help_lists_the_suites(self, capsys, monkeypatch):
+        # the choices come from properties.SUITES, in sorted order, then "all"
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr() == (VERIFY_USAGE + (
+            "\n"
+            "positional arguments:\n"
+            "  {convolution,growth,ode,oracle,parity,all}\n"
+            "\n"
+            "options:\n"
+            "  -h, --help            show this help message and exit\n"
+            "  --seed SEED\n"
+            "  --bound BOUND\n"
+        ), "")
 
     def test_property_failure_exits_3(self, capsys, monkeypatch):
         import vfree.cli as cli

@@ -13,6 +13,7 @@ from vfree.errors import (
     InvalidGog,
     NotConnected,
     NotNormalized,
+    NotTrivial,
     TooLarge,
 )
 from vfree.gog import (
@@ -24,6 +25,7 @@ from vfree.gog import (
     serialize_gog,
 )
 from vfree.graph import build_graph, spanning_tree
+from vfree.normalize import contract_edge
 
 DIHEDRAL_TEXT = "vertex a 2\nvertex b 2\nedge s a b 1\n"
 F2_TEXT = "vertex v 1\nedge p v v 1\nedge q v v 1\n"
@@ -204,6 +206,46 @@ class TestValidate:
             GraphOfGroups(build_graph(["a", "b"], []), {"a": 1, "b": 1}, {})
         assert isinstance(exc.value, InvalidGog)
         assert exc.value.offender is None
+
+
+def shown(token, quote=str):
+    """How a message shows an id: whole up to 32 characters, else cut."""
+    if len(token) <= 32:
+        return quote(token)
+    return f"{quote(token[:32])}... ({len(token)} characters)"
+
+
+def rooted(gog):
+    return gog, spanning_tree(gog.graph, "a")
+
+
+class TestLongIdsInMessages:
+    # these messages name ids unquoted (validation) or quoted (normalized
+    # data); either way an id past 32 characters is cut, shorter ones are not
+    @pytest.mark.parametrize("length", [32, 33, 5000])
+    @pytest.mark.parametrize(
+        "make, error, message",
+        [
+            (lambda t: GraphOfGroups(
+                build_graph(["a", "b"], [(t, "a", "b")]), {"a": 2, "b": 2}, {t: 1, t + "~": 2}
+            ), EdgeOrderNotSymmetric,
+             lambda t: f"order({shown(t)}) = 1 != order({shown(t + '~')}) = 2"),
+            (lambda t: build_gog({t: 3, "b": 2}, [("s", "b", t, 2)]), DivisibilityViolation,
+             lambda t: f"edge order 2 does not divide order 3 at vertex {shown(t)}"),
+            # only the half-edge into the order-2 vertex is onto
+            (lambda t: NormalizedGog(*rooted(build_gog({"a": 4, "b": 2}, [(t, "a", "b", 2)]))),
+             NotNormalized,
+             lambda t: f"tree half-edge {shown(t, repr)} has edge order 2 >= terminus order"),
+            (lambda t: contract_edge(*rooted(build_gog({"a": 2, t: 2}, [("s", "a", t, 1)])), "s"),
+             NotTrivial, lambda t: f"edge order 1 != order 2 at {shown(t, repr)}"),
+        ],
+        ids=["not-symmetric", "divisibility", "not-normalized", "not-trivial"],
+    )
+    def test_long_id_is_cut(self, make, error, message, length):
+        token = "x" * length
+        with pytest.raises(error) as exc:
+            make(token)
+        assert exc.value.message == message(token)
 
 
 class TestNormalizedGog:
