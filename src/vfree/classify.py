@@ -24,7 +24,7 @@ from enum import Enum
 
 from .errors import UnclassifiableShape
 from .gog import NormalizedGog
-from .invariants import TypeVector, euler_char, free_rank, type_vector
+from .invariants import euler_char, free_rank, m_gamma
 
 
 class Label(Enum):
@@ -54,11 +54,13 @@ class Label(Enum):
 
 @dataclass(frozen=True)
 class ClassificationReport:
+    """The free rank mu, the class, the ``params`` that fill ``label.line``,
+    and the witness ids (vertices and half-edges) of the matched shape."""
+
     rank: int
     label: Label
     params: dict[str, int]
     witness: tuple[str, ...]
-    type_vector: TypeVector
 
 
 @dataclass(frozen=True)
@@ -78,13 +80,10 @@ def classify(ngog: NormalizedGog) -> ClassificationReport:
     gog = ngog.gog
     g = gog.graph
     mu = free_rank(gog)
-    tv = type_vector(gog)
-    m = tv.m
+    m = m_gamma(gog)
 
     def report(label: Label, params: dict[str, int], witness: tuple[str, ...]):
-        return ClassificationReport(
-            rank=mu, label=label, params=params, witness=witness, type_vector=tv
-        )
+        return ClassificationReport(rank=mu, label=label, params=params, witness=witness)
 
     def fail(why: str):
         return UnclassifiableShape(f"rank {mu}: {why}")

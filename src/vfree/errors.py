@@ -66,6 +66,13 @@ class EmptyGraph(InvalidGog):
     code = "Empty"
 
 
+class OrderKeysMismatch(InvalidGog):
+    """The keys of an order map differ from the graph's vertices or
+    half-edges."""
+
+    code = "OrderKeysMismatch"
+
+
 class EdgeOrderNotSymmetric(InvalidGog):
     code = "EdgeOrderNotSymmetric"
 

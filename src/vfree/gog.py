@@ -8,7 +8,8 @@ half-edge graph plus two order labellings. Edge orders are constant on
 embeddings of an edge group into its endpoint groups.
 
 Constructing a ``GraphOfGroups`` validates it: a datum that is empty,
-disconnected or breaks either order condition raises a subclass of
+disconnected, has an order map whose keys are not exactly its vertices or
+half-edges, or breaks either order condition raises a subclass of
 ``InvalidGog``, whose ``offender`` is the half-edge at fault (None when
 no single half-edge is). Every datum in hand is therefore valid, and no
 entry point re-checks it.
@@ -39,6 +40,7 @@ from .errors import (
     GogSyntaxError,
     NotConnected,
     NotNormalized,
+    OrderKeysMismatch,
     TooLarge,
     cut,
     echo,
@@ -79,7 +81,7 @@ class NormalizedGog:
 
     def __post_init__(self) -> None:
         g = self.gog
-        for e in self.tree.tree_edges:
+        for e in sorted(self.tree.tree_edges):
             if g.edge_order[e] >= g.vertex_order[g.graph.terminus[e]]:
                 raise NotNormalized(
                     f"tree half-edge {echo(e)} has edge order "
@@ -89,11 +91,23 @@ class NormalizedGog:
 
 def check_valid(gog: GraphOfGroups) -> None:
     """Raise the error of the first violated condition, checked in order:
-    EmptyGraph, EdgeOrderNotSymmetric, DivisibilityViolation, NotConnected.
-    The two edge-order errors name the offending half-edge."""
+    EmptyGraph, OrderKeysMismatch, EdgeOrderNotSymmetric,
+    DivisibilityViolation, NotConnected. OrderKeysMismatch names the first
+    missing or extra id in sorted order, vertices before half-edges; the two
+    edge-order errors name the offending half-edge."""
     g = gog.graph
     if not g.vertices:
         raise EmptyGraph("graph has no vertices")
+
+    for kind, ids, orders in (
+        ("vertex", g.vertices, gog.vertex_order),
+        ("half-edge", g.half_edges, gog.edge_order),
+    ):
+        known = set(ids)
+        if known != orders.keys():
+            bad = min(known.symmetric_difference(orders))
+            where = "has no order" if bad in known else "is not in the graph"
+            raise OrderKeysMismatch(f"{kind} {cut(bad)} {where}")
 
     for e in g.half_edges:
         if gog.edge_order[e] != gog.edge_order[g.bar[e]]:

@@ -25,6 +25,11 @@ candidates, skipping those, therefore yields exactly the step sequence of
 ``find_trivial_edge`` + ``contract_edge`` repeated. Merged vertices are
 tracked by union-find (removed -> survivor), so the current terminus of e
 is find(terminus(e)); the whole pass takes O((V + H) log H) time.
+
+Both ``contract_edge`` and ``normalize`` build their result with
+``gog.build_gog`` from the surviving vertex orders and geometric edges, so
+a contracted datum is validated like any other and keeps the ``name`` /
+``name~`` half-edge pairs that ``graph.build_graph`` made.
 """
 
 from __future__ import annotations
@@ -32,8 +37,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotTreeEdge, NotTrivial, echo
-from .gog import GraphOfGroups, NormalizedGog
-from .graph import Graph, SpanningTree, spanning_tree
+from .gog import GraphOfGroups, NormalizedGog, build_gog
+from .graph import SpanningTree, spanning_tree
 
 
 @dataclass(frozen=True)
@@ -78,32 +83,15 @@ def contract_edge(
         )
 
     dropped = {e1, g.bar[e1]}
-    kept = [e for e in g.half_edges if e not in dropped]
-
-    def rehome(v: str) -> str:
-        return survivor if v == removed else v
-
-    new_graph = Graph(
-        vertices=tuple(v for v in g.vertices if v != removed),
-        half_edges=tuple(kept),
-        bar={e: g.bar[e] for e in kept},
-        origin={e: rehome(g.origin[e]) for e in kept},
-        terminus={e: rehome(g.terminus[e]) for e in kept},
+    home = {v: v for v in g.vertices}
+    home[removed] = survivor
+    kept = [e for e in g.orientation_reps() if e not in dropped]
+    new_gog = build_gog(
+        {v: n for v, n in gog.vertex_order.items() if v != removed},
+        [(e, home[g.origin[e]], home[g.terminus[e]], gog.edge_order[e]) for e in kept],
     )
-    new_gog = GraphOfGroups(
-        graph=new_graph,
-        vertex_order={v: n for v, n in gog.vertex_order.items() if v != removed},
-        edge_order={e: s for e, s in gog.edge_order.items() if e not in dropped},
-    )
-    new_tree = SpanningTree(
-        graph=new_graph,
-        tree_edges=tree.tree_edges - dropped,
-        root=rehome(tree.root),
-    )
-    step = ContractionStep(
-        contracted_edge=e1, removed_vertex=removed, surviving_vertex=survivor
-    )
-    return new_gog, new_tree, step
+    new_tree = SpanningTree(new_gog.graph, tree.tree_edges - dropped, home[tree.root])
+    return new_gog, new_tree, ContractionStep(e1, removed, survivor)
 
 
 def normalize(gog: GraphOfGroups) -> tuple[NormalizedGog, list[ContractionStep]]:
@@ -148,22 +136,11 @@ def normalize(gog: GraphOfGroups) -> tuple[NormalizedGog, list[ContractionStep]]
     if not steps:
         return NormalizedGog(gog=gog, tree=tree), steps
 
-    kept = [e for e in g.half_edges if e not in dropped]
-    new_graph = Graph(
-        vertices=tuple(v for v in g.vertices if v not in merged),
-        half_edges=tuple(kept),
-        bar={e: g.bar[e] for e in kept},
-        origin={e: find(g.origin[e]) for e in kept},
-        terminus={e: find(g.terminus[e]) for e in kept},
+    home = {v: find(v) for v in g.vertices}
+    kept = [e for e in g.orientation_reps() if e not in dropped]
+    new_gog = build_gog(
+        {v: n for v, n in gog.vertex_order.items() if v not in merged},
+        [(e, home[g.origin[e]], home[g.terminus[e]], gog.edge_order[e]) for e in kept],
     )
-    new_gog = GraphOfGroups(
-        graph=new_graph,
-        vertex_order={v: n for v, n in gog.vertex_order.items() if v not in merged},
-        edge_order={e: s for e, s in gog.edge_order.items() if e not in dropped},
-    )
-    new_tree = SpanningTree(
-        graph=new_graph,
-        tree_edges=tree.tree_edges - dropped,
-        root=find(tree.root),
-    )
+    new_tree = SpanningTree(new_gog.graph, tree.tree_edges - dropped, home[tree.root])
     return NormalizedGog(gog=new_gog, tree=new_tree), steps

@@ -216,25 +216,28 @@ def predicted_parity(class_label: str, params: dict[str, int], N: int) -> list[b
     return [f1_odd] * N
 
 
-def distinguish_rank1(a: ClassificationReport, b: ClassificationReport) -> bool:
-    """True iff two rank-1 reports name different classes.
+def distinguish_rank1(
+    a: tuple[ClassificationReport, GraphOfGroups],
+    b: tuple[ClassificationReport, GraphOfGroups],
+) -> bool:
+    """True iff two rank-1 (report, datum) pairs name different classes.
 
     The classes are separated by the type data: the loop class has every
     zeta_k = 0, while the amalgam class has zeta_m = -1. Both facts are
-    re-checked against the reports' computed type vectors; a report whose
-    label contradicts them raises AssertionError (explicitly, so -O keeps it).
+    re-checked against each datum's type vector; a report whose label
+    contradicts them raises AssertionError (explicitly, so -O keeps it).
     """
-    if a.rank != 1 or b.rank != 1:
-        raise WrongRank(f"ranks {a.rank}, {b.rank} are not both 1")
-    for rep in (a, b):
-        tv = rep.type_vector
+    if a[0].rank != 1 or b[0].rank != 1:
+        raise WrongRank(f"ranks {a[0].rank}, {b[0].rank} are not both 1")
+    for rep, gog in (a, b):
+        tv = type_vector(gog)
         if rep.label is Label.R1_I and any(tv.zeta.values()):
             raise AssertionError(f"loop class with zeta {tv.zeta}")
         if rep.label is Label.R1_II and tv.zeta[tv.m] != -1:
             raise AssertionError(
                 f"amalgam class with zeta_{tv.m} = {tv.zeta[tv.m]}"
             )
-    return a.label is not b.label
+    return a[0].label is not b[0].label
 
 
 # --- reference normalization ----------------------------------------------------

@@ -25,7 +25,7 @@ from vfree.classify import (
 from vfree.counting import f_series, f_series_rank2
 from vfree.errors import WrongRank
 from vfree.gog import build_gog
-from vfree.invariants import divisors, euler_char, free_rank
+from vfree.invariants import divisors, euler_char, free_rank, type_vector
 from vfree.normalize import normalize
 from vfree.oracle import exhaustive_rank2_shapes
 
@@ -224,32 +224,40 @@ class TestLargeness:
         assert rep.structural_vii and rep.chi_negative
 
 
+def rank1(gog):
+    return classified(gog), gog
+
+
 class TestDistinguishRank1:
     def test_different_classes(self):
-        a = classified(hnn_loop(4, 4))
-        b = classified(dihedral())
+        a = rank1(hnn_loop(4, 4))
+        b = rank1(dihedral())
         assert distinguish_rank1(a, b)
         # witnesses: all-zero zeta vs zeta_m = -1
-        assert all(z == 0 for z in a.type_vector.zeta.values())
-        assert b.type_vector.zeta[b.type_vector.m] == -1
+        tv_a, tv_b = type_vector(a[1]), type_vector(b[1])
+        assert all(z == 0 for z in tv_a.zeta.values())
+        assert tv_b.zeta[tv_b.m] == -1
 
     def test_same_class(self):
-        a = classified(hnn_loop(4, 4))
-        b = classified(hnn_loop(6, 6))
-        assert not distinguish_rank1(a, b)
+        assert not distinguish_rank1(rank1(hnn_loop(4, 4)), rank1(hnn_loop(6, 6)))
 
     def test_wrong_rank(self):
         with pytest.raises(WrongRank):
-            distinguish_rank1(classified(dihedral()), classified(c2_star_c3()))
+            distinguish_rank1(rank1(dihedral()), rank1(c2_star_c3()))
 
     def test_inconsistent_report(self):
-        loop = classified(hnn_loop(4, 4))
-        amalgam = classified(dihedral())
+        (loop, loop_gog), (amalgam, amalgam_gog) = rank1(hnn_loop(4, 4)), rank1(dihedral())
         # labels swapped against their type vectors; raised even under -O
         with pytest.raises(AssertionError):
-            distinguish_rank1(dataclasses.replace(loop, label=Label.R1_II), amalgam)
+            distinguish_rank1(
+                (dataclasses.replace(loop, label=Label.R1_II), loop_gog),
+                (amalgam, amalgam_gog),
+            )
         with pytest.raises(AssertionError):
-            distinguish_rank1(loop, dataclasses.replace(amalgam, label=Label.R1_I))
+            distinguish_rank1(
+                (loop, loop_gog),
+                (dataclasses.replace(amalgam, label=Label.R1_I), amalgam_gog),
+            )
 
 
 class TestEulerCrossCheck:

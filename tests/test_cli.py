@@ -2,6 +2,8 @@ import ast
 import hashlib
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -248,6 +250,20 @@ class TestClassify:
     def test_huge_order(self, gog_file, capsys):
         assert run(capsys, "classify", gog_file(HUGE_LOOP)) == (
             0, "rank=1000000000000000000 class=HIGHER m=1000000000000000000\n", ""
+        )
+
+    def test_prime_order_is_not_factorized(self, gog_file):
+        # m = 2^61 - 1: trial division to its square root would not end, so
+        # this runs in a subprocess whose timeout fails the test instead of
+        # hanging the suite
+        path = gog_file("vertex a 2305843009213693951\nedge l a a 1\n")
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        result = subprocess.run(
+            [sys.executable, "-m", "vfree.cli", "classify", path],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert (result.returncode, result.stdout, result.stderr) == (
+            0, "rank=2305843009213693951 class=HIGHER m=2305843009213693951\n", ""
         )
 
     def test_highly_composite_m_with_many_loops(self, gog_file, capsys):

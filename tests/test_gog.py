@@ -1,4 +1,7 @@
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +17,7 @@ from vfree.errors import (
     NotConnected,
     NotNormalized,
     NotTrivial,
+    OrderKeysMismatch,
     TooLarge,
 )
 from vfree.gog import (
@@ -207,6 +211,27 @@ class TestValidate:
         assert isinstance(exc.value, InvalidGog)
         assert exc.value.offender is None
 
+    @pytest.mark.parametrize(
+        "graph, vertex_order, edge_order, message",
+        [
+            (build_graph(["a"], []), {}, {}, "vertex a has no order"),
+            (build_graph(["a"], []), {"a": 2, "zz": 5}, {}, "vertex zz is not in the graph"),
+            (SEGMENT, {"a": 2, "b": 2}, {"s": 1}, "half-edge s~ has no order"),
+            (SEGMENT, {"a": 2, "b": 2}, {"s": 1, "s~": 1, "t": 1},
+             "half-edge t is not in the graph"),
+            # the first id in sorted order, and vertices before half-edges
+            (SEGMENT, {"b": 2, "c": 2}, {}, "vertex a has no order"),
+        ],
+        ids=["missing-vertex", "extra-vertex", "missing-half-edge", "extra-half-edge",
+             "first-sorted"],
+    )
+    def test_order_keys_mismatch(self, graph, vertex_order, edge_order, message):
+        with pytest.raises(OrderKeysMismatch) as exc:
+            GraphOfGroups(graph, vertex_order, edge_order)
+        assert isinstance(exc.value, InvalidGog)
+        assert exc.value.message == message
+        assert exc.value.offender is None
+
 
 def shown(token, quote=str):
     """How a message shows an id: whole up to 32 characters, else cut."""
@@ -238,8 +263,11 @@ class TestLongIdsInMessages:
              lambda t: f"tree half-edge {shown(t, repr)} has edge order 2 >= terminus order"),
             (lambda t: contract_edge(*rooted(build_gog({"a": 2, t: 2}, [("s", "a", t, 1)])), "s"),
              NotTrivial, lambda t: f"edge order 1 != order 2 at {shown(t, repr)}"),
+            (lambda t: GraphOfGroups(build_graph(["a"], []), {"a": 1, t: 1}, {}),
+             OrderKeysMismatch, lambda t: f"vertex {shown(t)} is not in the graph"),
         ],
-        ids=["not-symmetric", "divisibility", "not-normalized", "not-trivial"],
+        ids=["not-symmetric", "divisibility", "not-normalized", "not-trivial",
+             "order-keys"],
     )
     def test_long_id_is_cut(self, make, error, message, length):
         token = "x" * length
@@ -254,6 +282,29 @@ class TestNormalizedGog:
         gog = build_gog({"a": 2, "b": 2}, [("s", "a", "b", 2)])
         with pytest.raises(NotNormalized):
             NormalizedGog(gog, spanning_tree(gog.graph, "a"))
+
+    def test_message_does_not_depend_on_the_hash_seed(self):
+        # both half-edges of s are onto; the smaller id is named under every
+        # string hash seed
+        script = (
+            "from vfree.gog import NormalizedGog, build_gog\n"
+            "from vfree.graph import spanning_tree\n"
+            "g = build_gog({'a': 2, 'b': 2}, [('s', 'a', 'b', 2)])\n"
+            "try:\n"
+            "    NormalizedGog(g, spanning_tree(g.graph, 'a'))\n"
+            "except Exception as exc:\n"
+            "    print(exc)\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            out = subprocess.run(
+                [sys.executable, "-c", script],
+                capture_output=True, text=True, env=env, timeout=120,
+            ).stdout
+            assert out == (
+                "NotNormalized: tree half-edge 's' has edge order 2 >= terminus order\n"
+            ), seed
 
 
 class TestSerialize:
