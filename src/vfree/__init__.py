@@ -17,29 +17,17 @@ import types
 
 __version__ = "0.1.0"
 
-# submodule -> the names it exports
+# submodule -> the names it exports: exactly those the README documents;
+# every other public name is imported from its submodule
 _EXPORTS = {
-    "classify": (
-        "ClassificationReport", "Label", "LargenessReport", "classify", "largeness_report",
-    ),
-    "counting": (
-        "f_series", "f_series_rank2", "g_series", "growth_check", "ode_check", "theta_coeffs",
-    ),
-    "errors": ("VfreeError",),
-    "gog": ("GraphOfGroups", "NormalizedGog", "build_gog", "parse_gog", "serialize_gog"),
+    "classify": ("ClassificationReport", "Label", "classify"),
+    "counting": ("f_series", "g_series", "ode_check", "theta_coeffs"),
+    "gog": ("GraphOfGroups", "build_gog", "parse_gog"),
     "graph": (
-        "Graph", "SpanningTree", "build_graph", "is_connected", "orient_from_root",
-        "spanning_tree",
+        "Graph", "build_graph", "is_connected", "orient_from_root", "spanning_tree",
     ),
-    "invariants": (
-        "TypeVector", "check_edge_bound", "divisors", "euler_char", "euler_from_type",
-        "free_rank", "m_gamma", "totient", "type_vector",
-    ),
-    "normalize": ("ContractionStep", "contract_edge", "find_trivial_edge", "normalize"),
-    "oracle": (
-        "exhaustive_rank2_shapes", "free_group_subgroup_counts", "orientation_uniqueness",
-        "random_gog",
-    ),
+    "invariants": ("free_rank", "m_gamma"),
+    "normalize": ("contract_edge", "normalize"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

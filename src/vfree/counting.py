@@ -48,9 +48,8 @@ from .errors import (
     UnknownClass,
     WrongRank,
 )
-from .gog import GraphOfGroups, NormalizedGog
-from .invariants import _net_orders, free_rank, m_gamma, type_vector
-from .normalize import normalize
+from .gog import GraphOfGroups
+from .invariants import _net_orders, free_rank, m_gamma
 
 
 def g_series(gog: GraphOfGroups, N: int) -> list[Fraction]:
@@ -113,6 +112,10 @@ def _f_from_g(gog: GraphOfGroups, g: list[Fraction]) -> list[int]:
 def theta_coeffs(gog: GraphOfGroups, N: int | None = None) -> tuple[int, ...]:
     """Integer ODE coefficients theta_0..theta_mu from the type data.
 
+    Reads only the net orders (m, c) and mu; m is not factorized, since
+    zeta_{gcd(m,k)} = sum_{d | gcd(m,k)} c_d is built by adding each c_d
+    with d | m at the multiples k of d.
+
     theta_u = (1/u!) * sum_{j=0}^{u} (-1)^(u-j) * C(u,j) * m * (j+1)
               * prod_{k=1}^{m} (j*m + k)^zeta_{gcd(m,k)}.
 
@@ -134,11 +137,14 @@ def theta_coeffs(gog: GraphOfGroups, N: int | None = None) -> tuple[int, ...]:
     """
     if N is not None and N < 1:
         raise ValueError(f"theta_coeffs requires N >= 1, got {N}")
-    tv = type_vector(gog)
-    m = tv.m
+    m, net = _net_orders(gog)
     mu = free_rank(gog)
     top = mu if N is None else min(N - 1, mu)
-    exps = [tv.zeta[math.gcd(m, k)] for k in range(1, m + 1)]
+    # exps[k-1] = zeta_{gcd(m,k)}: c_d, for d | m, is added at each multiple k of d
+    exps = [0] * m
+    for d, c in net.items():
+        if m % d == 0:
+            exps[d - 1 :: d] = [e + c for e in exps[d - 1 :: d]]
     exps[-1] += 1
     up = [(k, e) for k, e in enumerate(exps, 1) if e > 0]
     down = [(k, -e) for k, e in enumerate(exps, 1) if e < 0]
@@ -250,28 +256,22 @@ def f_series_rank2(class_label: str, params: dict[str, int], N: int) -> list[int
     return f[:N]
 
 
-def is_triple_c2_shape(ngog: NormalizedGog) -> bool:
-    """True for the path of three order-2 vertices with order-1 edges."""
-    gog = ngog.gog
-    g = gog.graph
-    return (
-        len(g.vertices) == 3
-        and len(g.half_edges) == 4
-        and all(n == 2 for n in gog.vertex_order.values())
-        and all(s == 1 for s in gog.edge_order.values())
-    )
+# the type (m, c) of C2*C2*C2: three order-2 vertices joined by two
+# order-1 edges, and so of every presentation of that group
+_TRIPLE_C2_TYPE = (2, {1: 2, 2: -3})
 
 
 def growth_check(gog: GraphOfGroups, N: int) -> bool:
     """Check f_{l+1} - f_l >= m * (l+1)! for l = 1..N on a rank-2 datum.
 
-    On the datum presenting the free product of three order-2 groups the
-    check starts at l = 2: there the bound genuinely fails at l = 1.
+    f depends on the datum only through its type (m, c). On the type of
+    C2*C2*C2, in any presentation, the bound genuinely fails at l = 1, so
+    there the check starts at l = 2.
     """
     if free_rank(gog) != 2:
         raise WrongRank(f"free rank {free_rank(gog)} != 2")
-    start = 2 if is_triple_c2_shape(normalize(gog)[0]) else 1
-    m = m_gamma(gog)
+    m, net = _net_orders(gog)
+    start = 2 if (m, net) == _TRIPLE_C2_TYPE else 1
     f = f_series(gog, N + 1)
     return all(
         f[lam] - f[lam - 1] >= m * math.factorial(lam + 1)

@@ -16,7 +16,7 @@ import random
 
 from .errors import DegreeTooLarge, NonExactDivision, TooLarge
 from .gog import GraphOfGroups, build_gog
-from .graph import Graph, SpanningTree, build_graph
+from .graph import Graph, SpanningTree, build_graph, orient_from_root
 
 MAX_ORACLE_DEGREE = 6
 MAX_ORACLE_TREE_EDGES = 20
@@ -65,8 +65,6 @@ def orientation_uniqueness(tree: SpanningTree, v0: str) -> bool:
     """Try all orientations of the tree; exactly one may send e -> t(e)
     bijectively onto the vertices other than v0, and it must equal the
     root-directed orientation."""
-    from .graph import orient_from_root  # structural, not arithmetic
-
     g = tree.graph
     pairs = [(e, g.bar[e]) for e in g.orientation_reps() if e in tree.tree_edges]
     if len(pairs) > MAX_ORACLE_TREE_EDGES:
@@ -81,14 +79,16 @@ def orientation_uniqueness(tree: SpanningTree, v0: str) -> bool:
     return len(winners) == 1 and winners[0] == orient_from_root(tree, v0)
 
 
+def _divisors(n: int) -> list[int]:
+    """Positive divisors of n >= 1, ascending, by a scan up to n."""
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
 def _shape_data(order_bound: int):
     """Yield (vertex_orders, edge_specs) once for every normalized shape
     with at most 3 vertices and 2 geometric edges, up to relabeling."""
     B = order_bound
     rng_orders = range(1, B + 1)
-
-    def divs(n: int) -> list[int]:
-        return [d for d in range(1, n + 1) if n % d == 0]
 
     # single vertex, no edges
     for n in rng_orders:
@@ -96,12 +96,12 @@ def _shape_data(order_bound: int):
 
     # single vertex, one loop (never a tree edge: any divisor order)
     for n in rng_orders:
-        for s in divs(n):
+        for s in _divisors(n):
             yield {"v1": n}, [("e1", "v1", "v1", s)]
 
     # single vertex, two loops; loops are interchangeable
     for n in rng_orders:
-        ds = divs(n)
+        ds = _divisors(n)
         for s1 in ds:
             for s2 in ds:
                 if s1 <= s2:
@@ -115,17 +115,17 @@ def _shape_data(order_bound: int):
         for b in rng_orders:
             if a > b:
                 continue
-            for s in divs(math.gcd(a, b)):
+            for s in _divisors(math.gcd(a, b)):
                 if s < a and s < b:
                     yield {"v1": a, "v2": b}, [("e1", "v1", "v2", s)]
 
     # segment with a loop at the second vertex; no symmetry
     for a in rng_orders:
         for b in rng_orders:
-            for s1 in divs(math.gcd(a, b)):
+            for s1 in _divisors(math.gcd(a, b)):
                 if not (s1 < a and s1 < b):
                     continue
-                for s2 in divs(b):
+                for s2 in _divisors(b):
                     yield {"v1": a, "v2": b}, [
                         ("e1", "v1", "v2", s1),
                         ("e2", "v2", "v2", s2),
@@ -137,7 +137,7 @@ def _shape_data(order_bound: int):
         for b in rng_orders:
             if a > b:
                 continue
-            ds = divs(math.gcd(a, b))
+            ds = _divisors(math.gcd(a, b))
             for s1 in ds:
                 for s2 in ds:
                     if s1 <= s2 and s1 < a and s1 < b:
@@ -150,10 +150,10 @@ def _shape_data(order_bound: int):
     for a in rng_orders:
         for b in rng_orders:
             for c in rng_orders:
-                for s1 in divs(math.gcd(a, b)):
+                for s1 in _divisors(math.gcd(a, b)):
                     if not (s1 < a and s1 < b):
                         continue
-                    for s2 in divs(math.gcd(b, c)):
+                    for s2 in _divisors(math.gcd(b, c)):
                         if not (s2 < b and s2 < c):
                             continue
                         if (a, s1, b, s2, c) <= (c, s2, b, s1, a):
@@ -191,15 +191,13 @@ def random_gog(
     trivial edges occur regularly and normalization has real work to do.
     """
     base = rng.randint(1, max_order)
-    base_divs = [d for d in range(1, base + 1) if base % d == 0]
+    base_divs = _divisors(base)
     nv = rng.randint(1, max_vertices)
     vertex_orders = {f"v{i}": rng.choice(base_divs) for i in range(1, nv + 1)}
     names = sorted(vertex_orders)
 
     def random_edge_order(u: str, v: str) -> int:
-        g = math.gcd(vertex_orders[u], vertex_orders[v])
-        ds = [d for d in range(1, g + 1) if g % d == 0]
-        return rng.choice(ds)
+        return rng.choice(_divisors(math.gcd(vertex_orders[u], vertex_orders[v])))
 
     specs = []
     for i in range(2, nv + 1):

@@ -46,7 +46,7 @@ BASE = ["vfree", "vfree.cli", "vfree.errors", "vfree.gog", "vfree.graph", "vfree
         ("normalize", ["vfree.normalize"]),
         ("invariants", ["vfree.invariants", "vfree.normalize"]),
         ("classify", ["vfree.classify", "vfree.invariants", "vfree.normalize"]),
-        ("count", ["vfree.counting", "vfree.invariants", "vfree.normalize"]),
+        ("count", ["vfree.counting", "vfree.invariants"]),
     ],
 )
 def test_subcommand_loads_only_what_it_runs(command, extra):
