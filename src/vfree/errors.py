@@ -73,6 +73,13 @@ class OrderKeysMismatch(InvalidGog):
     code = "OrderKeysMismatch"
 
 
+class BadHalfEdgePair(InvalidGog):
+    """A half-edge that is not paired name/name~ by bar, or whose pair's
+    endpoints disagree."""
+
+    code = "BadHalfEdgePair"
+
+
 class EdgeOrderNotSymmetric(InvalidGog):
     code = "EdgeOrderNotSymmetric"
 

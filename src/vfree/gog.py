@@ -9,7 +9,8 @@ embeddings of an edge group into its endpoint groups.
 
 Constructing a ``GraphOfGroups`` validates it: a datum that is empty,
 disconnected, has an order map whose keys are not exactly its vertices or
-half-edges, or breaks either order condition raises a subclass of
+half-edges, has a half-edge pair other than the ``name`` / ``name~`` pairs
+of ``graph.build_graph``, or breaks either order condition raises a subclass of
 ``InvalidGog``, whose ``offender`` is the half-edge at fault (None when
 no single half-edge is). Every datum in hand is therefore valid, and no
 entry point re-checks it.
@@ -33,6 +34,7 @@ import sys
 from dataclasses import dataclass
 
 from .errors import (
+    BadHalfEdgePair,
     DanglingVertexRef,
     DivisibilityViolation,
     EdgeOrderNotSymmetric,
@@ -91,23 +93,41 @@ class NormalizedGog:
 
 def check_valid(gog: GraphOfGroups) -> None:
     """Raise the error of the first violated condition, checked in order:
-    EmptyGraph, OrderKeysMismatch, EdgeOrderNotSymmetric,
+    EmptyGraph, OrderKeysMismatch, BadHalfEdgePair, EdgeOrderNotSymmetric,
     DivisibilityViolation, NotConnected. OrderKeysMismatch names the first
-    missing or extra id in sorted order, vertices before half-edges; the two
-    edge-order errors name the offending half-edge."""
+    missing or extra id in sorted order, vertices before half-edges.
+    BadHalfEdgePair needs each half-edge x to be paired with x~ (and x~
+    with x) by bar, to start at a vertex, and to start where its pair ends.
+    It and the two edge-order errors name the offending half-edge."""
     g = gog.graph
     if not g.vertices:
         raise EmptyGraph("graph has no vertices")
 
-    for kind, ids, orders in (
-        ("vertex", g.vertices, gog.vertex_order),
-        ("half-edge", g.half_edges, gog.edge_order),
+    vertices, half_edges = set(g.vertices), set(g.half_edges)
+    for kind, known, orders in (
+        ("vertex", vertices, gog.vertex_order),
+        ("half-edge", half_edges, gog.edge_order),
     ):
-        known = set(ids)
         if known != orders.keys():
             bad = min(known.symmetric_difference(orders))
             where = "has no order" if bad in known else "is not in the graph"
             raise OrderKeysMismatch(f"{kind} {cut(bad)} {where}")
+
+    for e in g.half_edges:
+        mate = e[:-1] if e.endswith(BAR_SUFFIX) else e + BAR_SUFFIX
+        if mate not in half_edges or g.bar.get(e) != mate or g.bar.get(mate) != e:
+            raise BadHalfEdgePair(
+                f"half-edge {cut(e)} is not paired with {cut(mate)}", offender=e
+            )
+        if g.origin.get(e) not in vertices:
+            raise BadHalfEdgePair(
+                f"half-edge {cut(e)} does not start at a vertex", offender=e
+            )
+        if g.terminus.get(mate) != g.origin[e]:
+            raise BadHalfEdgePair(
+                f"half-edge {cut(e)} does not start where {cut(mate)} ends",
+                offender=e,
+            )
 
     for e in g.half_edges:
         if gog.edge_order[e] != gog.edge_order[g.bar[e]]:

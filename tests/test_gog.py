@@ -8,6 +8,7 @@ from hypothesis import given, settings
 
 from helpers import dihedral, free_bouquet, small_gogs
 from vfree.errors import (
+    BadHalfEdgePair,
     DanglingVertexRef,
     DivisibilityViolation,
     EdgeOrderNotSymmetric,
@@ -28,8 +29,8 @@ from vfree.gog import (
     parse_gog,
     serialize_gog,
 )
-from vfree.graph import build_graph, spanning_tree
-from vfree.normalize import contract_edge
+from vfree.graph import Graph, build_graph, spanning_tree
+from vfree.normalize import contract_edge, normalize
 
 DIHEDRAL_TEXT = "vertex a 2\nvertex b 2\nedge s a b 1\n"
 F2_TEXT = "vertex v 1\nedge p v v 1\nedge q v v 1\n"
@@ -233,6 +234,68 @@ class TestValidate:
         assert exc.value.offender is None
 
 
+def hand_built(vertices, pairs):
+    """A Graph assembled directly from (e, bar(e), origin, terminus) rows,
+    with none of the checks of build_graph."""
+    return Graph(
+        vertices=tuple(vertices),
+        half_edges=tuple(sorted(row[0] for row in pairs)),
+        bar={e: b for e, b, _, _ in pairs},
+        origin={e: o for e, _, o, _ in pairs},
+        terminus={e: t for e, _, _, t in pairs},
+    )
+
+
+# the path a - b - c with orders 2, 2, 4 and edge orders 2, 1, paired p/q
+# and r/s: valid but for the names of its pairs
+PATH_PQRS = hand_built("abc", [
+    ("p", "q", "a", "b"), ("q", "p", "b", "a"),
+    ("r", "s", "b", "c"), ("s", "r", "c", "b"),
+])
+
+
+class TestHalfEdgePairs:
+    def test_pairs_not_named_x_and_x_tilde(self):
+        with pytest.raises(BadHalfEdgePair) as exc:
+            GraphOfGroups(
+                PATH_PQRS, {"a": 2, "b": 2, "c": 4}, {"p": 2, "q": 2, "r": 1, "s": 1}
+            )
+        assert isinstance(exc.value, InvalidGog)
+        assert exc.value.offender == "p"
+        assert str(exc.value) == "BadHalfEdgePair: half-edge p is not paired with p~"
+
+    def test_same_path_built_by_build_graph_normalizes(self):
+        gog = build_gog({"a": 2, "b": 2, "c": 4}, [("p", "a", "b", 2), ("r", "b", "c", 1)])
+        ngog, steps = normalize(gog)
+        assert [step.contracted_edge for step in steps] == ["p"]
+        assert ngog.gog.graph.vertices == ("a", "c")
+
+    @pytest.mark.parametrize(
+        "pairs, offender, message",
+        [
+            ([("p", "p", "a", "a"), ("p~", "p", "a", "a")], "p",
+             "half-edge p is not paired with p~"),
+            ([("p", "p~", "a", "a")], "p", "half-edge p is not paired with p~"),
+            ([("p", "p~", "a", "a"), ("p~", "p~", "a", "a")], "p",
+             "half-edge p is not paired with p~"),
+            ([("p", "p~", "a", "a"), ("p~", "p", "b", "a")], "p~",
+             "half-edge p~ does not start at a vertex"),
+            ([("p", "p~", "a", "a"), ("p~", "p", "a", "b")], "p",
+             "half-edge p does not start where p~ ends"),
+        ],
+        ids=["bar-fixes-p", "mate-missing", "bar-not-involution", "origin-not-vertex",
+             "ends-disagree"],
+    )
+    def test_one_vertex_loops(self, pairs, offender, message):
+        with pytest.raises(BadHalfEdgePair) as exc:
+            GraphOfGroups(hand_built("a", pairs), {"a": 2}, {e: 1 for e, *_ in pairs})
+        assert (exc.value.offender, exc.value.message) == (offender, message)
+
+    @pytest.mark.parametrize("gog", [dihedral(), free_bouquet(3)])
+    def test_build_graph_pairs_pass(self, gog):
+        assert GraphOfGroups(gog.graph, gog.vertex_order, gog.edge_order) == gog
+
+
 def shown(token, quote=str):
     """How a message shows an id: whole up to 32 characters, else cut."""
     if len(token) <= 32:
@@ -265,9 +328,14 @@ class TestLongIdsInMessages:
              NotTrivial, lambda t: f"edge order 1 != order 2 at {shown(t, repr)}"),
             (lambda t: GraphOfGroups(build_graph(["a"], []), {"a": 1, t: 1}, {}),
              OrderKeysMismatch, lambda t: f"vertex {shown(t)} is not in the graph"),
+            (lambda t: GraphOfGroups(
+                hand_built("a", [(t, t, "a", "a"), (t + "~", t, "a", "a")]),
+                {"a": 1}, {t: 1, t + "~": 1},
+            ), BadHalfEdgePair,
+             lambda t: f"half-edge {shown(t)} is not paired with {shown(t + '~')}"),
         ],
         ids=["not-symmetric", "divisibility", "not-normalized", "not-trivial",
-             "order-keys"],
+             "order-keys", "half-edge-pair"],
     )
     def test_long_id_is_cut(self, make, error, message, length):
         token = "x" * length
