@@ -27,14 +27,44 @@ from .errors import NonIntegralRank
 from .gog import GraphOfGroups, NormalizedGog
 
 
+# trial division stops to test the cofactor for primality once it reaches
+# this bound; Miller-Rabin on the first 13 prime bases is exact below
+# _MR_LIMIT (Sorenson and Webster, Math. Comp. 2017)
+_TRIAL_BOUND = 1000
+_MR_LIMIT = 3317044064679887385961981
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for odd 41 < n < _MR_LIMIT."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def _factorize(n: int) -> dict[int, int]:
     """prime -> exponent, by trial division that divides out each prime it
-    finds; only a large prime factor still costs up to sqrt(n) steps."""
+    finds. At _TRIAL_BOUND, a cofactor below _MR_LIMIT that Miller-Rabin
+    proves prime ends the search; a cofactor that is composite or not below
+    _MR_LIMIT still costs up to its square root in steps."""
     if n < 1:
         raise ValueError(f"factorization requires n >= 1, got {n}")
     powers: dict[int, int] = {}
     p = 2
     while p * p <= n:
+        if p == _TRIAL_BOUND and n < _MR_LIMIT and _is_prime(n):
+            break
         while n % p == 0:
             n //= p
             powers[p] = powers.get(p, 0) + 1

@@ -214,6 +214,24 @@ class TestInvariants:
         assert "mu=4818805992000000" in lines
 
 
+    def test_prime_order_is_proven_prime(self, gog_file):
+        # m = 2^61 - 1: trial division to its square root would not end, so
+        # this runs in a subprocess whose timeout fails the test instead of
+        # hanging the suite
+        path = gog_file("vertex a 2305843009213693951\nedge l a a 1\n")
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        result = subprocess.run(
+            [sys.executable, "-m", "vfree.cli", "invariants", path],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert (result.returncode, result.stderr) == (0, "")
+        lines = result.stdout.splitlines()
+        assert lines[0] == "m=2305843009213693951"
+        assert [line for line in lines if line.startswith(("zeta_", "mu="))] == [
+            "zeta_1=1", "zeta_2305843009213693951=0", "mu=2305843009213693951"
+        ]
+
+
 class TestNormalize:
     def test_collapses_and_logs_steps(self, gog_file, capsys):
         code, out, _ = run(capsys, "normalize", "--steps", gog_file(COLLAPSIBLE))

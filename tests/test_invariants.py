@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,9 @@ from helpers import (
 from vfree.errors import NonIntegralRank
 from vfree.gog import build_gog
 from vfree.invariants import (
+    _MR_LIMIT,
+    _factorize,
+    _is_prime,
     check_edge_bound,
     divisors,
     euler_char,
@@ -91,6 +95,55 @@ class TestTotientAndDivisors:
         for n in range(1, 20001):
             assert divisors(n) == old_divisors(n)
             assert totient(n) == old_totient(n)
+
+    def test_against_plain_trial_division(self):
+        # random n < 10^12 often leave a cofactor past the trial bound, prime
+        # (ended by Miller-Rabin) or composite (trial division goes on)
+        def trial_factors(n):
+            powers, p = {}, 2
+            while p * p <= n:
+                while n % p == 0:
+                    n //= p
+                    powers[p] = powers.get(p, 0) + 1
+                p += 1
+            if n > 1:
+                powers[n] = 1
+            return powers
+
+        rng = random.Random(12)
+        strong_pseudoprimes = [2047, 3215031751]  # to bases 2 and 2..7
+        two_large_primes = [1009 * 999983, 1000003 * 999983]
+        for n in [rng.randrange(1, 10**12) for _ in range(20)] + [
+            999999999989, 2 * 999999999989, *strong_pseudoprimes, *two_large_primes
+        ]:
+            powers = trial_factors(n)
+            assert _factorize(n) == powers
+            divs = [1]
+            for p, k in powers.items():
+                divs = [d * p**i for d in divs for i in range(k + 1)]
+            assert divisors(n) == sorted(divs)
+            assert totient(n) == math.prod(p ** (k - 1) * (p - 1) for p, k in powers.items())
+
+    @pytest.mark.parametrize(
+        "n, prime",
+        [
+            (2047, False),
+            (3215031751, False),
+            (3825123056546413051, False),  # strong pseudoprime to bases 2..23
+            (318665857834031151167461, False),  # to bases 2..37, not 41
+            (999999999989, True),
+            (2**61 - 1, True),
+            (1000003 * 999983, False),
+        ],
+    )
+    def test_miller_rabin_below_its_limit(self, n, prime):
+        assert n < _MR_LIMIT
+        assert _is_prime(n) is prime
+
+    def test_miller_rabin_limit_is_the_first_failure(self):
+        # the limit itself is a strong pseudoprime to all 13 bases
+        assert _MR_LIMIT == 1287836182261 * 2575672364521
+        assert _is_prime(_MR_LIMIT)
 
     def test_large_smooth_number(self):
         n = 10**18
