@@ -10,10 +10,10 @@ embeddings of an edge group into its endpoint groups.
 Constructing a ``GraphOfGroups`` validates it: a datum that is empty,
 disconnected, has an order map whose keys are not exactly its vertices or
 half-edges, has a half-edge pair other than the ``name`` / ``name~`` pairs
-of ``graph.build_graph``, or breaks either order condition raises a subclass of
-``InvalidGog``, whose ``offender`` is the half-edge at fault (None when
-no single half-edge is). Every datum in hand is therefore valid, and no
-entry point re-checks it.
+of ``graph.build_graph``, or breaks either order condition raises a
+subclass of ``InvalidGog``, whose ``offender`` is the half-edge at fault
+(None when no single half-edge is). Every datum in hand is therefore
+valid, and no entry point re-checks it.
 
 Text format (UTF-8, line based, '#' starts a comment, blank lines ignored)::
 
