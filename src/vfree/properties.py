@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import random
+from itertools import chain
 
 from .gog import build_gog
 from .graph import spanning_tree
@@ -27,11 +28,13 @@ def _bouquet(r: int):
 
 
 def _type_key(gog):
-    """The type (m, c) as a hashable key."""
+    """The type (m, c) as one flat tuple (m, d, c_d, ...), ascending in d.
+    A flat tuple, not a nested one of (d, c_d) pairs, because the nested
+    keys raised the peak RSS of `verify all`."""
     from .invariants import _net_orders
 
     m, c = _net_orders(gog)
-    return m, tuple(sorted(c.items()))
+    return (m, *chain.from_iterable(sorted(c.items())))
 
 
 def _by_type(data):
