@@ -30,7 +30,7 @@ from vfree.gog import (
     serialize_gog,
 )
 from vfree.graph import Graph, build_graph, spanning_tree
-from vfree.normalize import contract_edge, normalize
+from vfree.normalize import contract_edge
 
 DIHEDRAL_TEXT = "vertex a 2\nvertex b 2\nedge s a b 1\n"
 F2_TEXT = "vertex v 1\nedge p v v 1\nedge q v v 1\n"
@@ -264,12 +264,6 @@ class TestHalfEdgePairs:
         assert exc.value.offender == "p"
         assert str(exc.value) == "BadHalfEdgePair: half-edge p is not paired with p~"
 
-    def test_same_path_built_by_build_graph_normalizes(self):
-        gog = build_gog({"a": 2, "b": 2, "c": 4}, [("p", "a", "b", 2), ("r", "b", "c", 1)])
-        ngog, steps = normalize(gog)
-        assert [step.contracted_edge for step in steps] == ["p"]
-        assert ngog.gog.graph.vertices == ("a", "c")
-
     @pytest.mark.parametrize(
         "pairs, offender, message",
         [
@@ -290,10 +284,6 @@ class TestHalfEdgePairs:
         with pytest.raises(BadHalfEdgePair) as exc:
             GraphOfGroups(hand_built("a", pairs), {"a": 2}, {e: 1 for e, *_ in pairs})
         assert (exc.value.offender, exc.value.message) == (offender, message)
-
-    @pytest.mark.parametrize("gog", [dihedral(), free_bouquet(3)])
-    def test_build_graph_pairs_pass(self, gog):
-        assert GraphOfGroups(gog.graph, gog.vertex_order, gog.edge_order) == gog
 
 
 def shown(token, quote=str):
