@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 
-from helpers import dihedral, free_bouquet, small_gogs
+from helpers import dihedral, free_bouquet, seeded_random_data, small_gogs
 from vfree.errors import (
     BadHalfEdgePair,
     DanglingVertexRef,
@@ -20,6 +20,7 @@ from vfree.errors import (
     NotTrivial,
     OrderKeysMismatch,
     TooLarge,
+    echo,
 )
 from vfree.gog import (
     GraphOfGroups,
@@ -30,7 +31,8 @@ from vfree.gog import (
     serialize_gog,
 )
 from vfree.graph import Graph, build_graph, spanning_tree
-from vfree.normalize import contract_edge
+from vfree.normalize import contract_edge, find_trivial_edge
+from vfree.oracle import exhaustive_rank2_shapes
 
 DIHEDRAL_TEXT = "vertex a 2\nvertex b 2\nedge s a b 1\n"
 F2_TEXT = "vertex v 1\nedge p v v 1\nedge q v v 1\n"
@@ -340,6 +342,23 @@ class TestNormalizedGog:
         gog = build_gog({"a": 2, "b": 2}, [("s", "a", "b", 2)])
         with pytest.raises(NotNormalized):
             NormalizedGog(gog, spanning_tree(gog.graph, "a"))
+
+    def test_raises_exactly_on_the_trivial_edge_found(self):
+        # every root of every shape and of seeded random data: the check
+        # fails iff find_trivial_edge finds an edge, and names that edge
+        seen = set()
+        for gog in exhaustive_rank2_shapes(6) + seeded_random_data(16, 100):
+            for root in gog.graph.vertices:
+                tree = spanning_tree(gog.graph, root)
+                e = find_trivial_edge(gog, tree)
+                seen.add(e is None)
+                if e is None:
+                    NormalizedGog(gog, tree)
+                    continue
+                with pytest.raises(NotNormalized) as exc:
+                    NormalizedGog(gog, tree)
+                assert exc.value.message.startswith(f"tree half-edge {echo(e)} ")
+        assert seen == {True, False}
 
     def test_message_does_not_depend_on_the_hash_seed(self):
         # both half-edges of s are onto; the smaller id is named under every
