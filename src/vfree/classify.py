@@ -225,29 +225,16 @@ def largeness_report(ngog: NormalizedGog, N: int) -> LargenessReport:
     chi_negative = euler_char(gog) < 0
     rank_ge_2 = free_rank(gog) >= 2
 
+    # criterion (vii): large unless the normalized datum is a bare vertex,
+    # one loop whose edge group is the whole vertex group, or one edge
+    # amalgamating two index-2 subgroups
     geom = g.orientation_reps()
-    n_vertices = len(g.vertices)
-    is_tree = len(geom) == n_vertices - 1
-    if n_vertices == 1:
-        if len(geom) > 1:
-            structural = True
-        elif len(geom) == 1:
-            e = geom[0]
-            structural = gog.vertex_order[g.origin[e]] // gog.edge_order[e] >= 2
-        else:
-            structural = False
-    else:
-        if not is_tree or len(geom) >= 2:
-            structural = True
-        else:
-            # single-edge tree: an amalgam of indices a, b >= 2 (the datum is
-            # normalized) is large unless (a, b) = (2, 2), virtually cyclic
-            e = geom[0]
-            s = gog.edge_order[e]
-            structural = (
-                gog.vertex_order[g.origin[e]] // s,
-                gog.vertex_order[g.terminus[e]] // s,
-            ) != (2, 2)
+    structural = len(geom) >= 2
+    if len(geom) == 1:
+        e = geom[0]
+        s = gog.edge_order[e]
+        a = gog.vertex_order[g.origin[e]] // s, gog.vertex_order[g.terminus[e]] // s
+        structural = a[0] >= 2 if g.is_loop(e) else a != (2, 2)
 
     f = f_series(gog, N)
     increasing = all(f[i] < f[i + 1] for i in range(len(f) - 1))

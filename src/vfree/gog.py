@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import re
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .errors import (
@@ -75,20 +76,33 @@ class NormalizedGog:
 
     Along every tree half-edge the edge order is strictly smaller than the
     order at its terminus, i.e. no edge-group embedding along the tree is
-    onto.
+    onto. Construction raises ``NotNormalized`` on ``find_trivial_edge``.
     """
 
     gog: GraphOfGroups
     tree: SpanningTree
 
     def __post_init__(self) -> None:
-        g = self.gog
-        for e in sorted(self.tree.tree_edges):
-            if g.edge_order[e] >= g.vertex_order[g.graph.terminus[e]]:
-                raise NotNormalized(
-                    f"tree half-edge {echo(e)} has edge order "
-                    f"{g.edge_order[e]} >= terminus order"
-                )
+        if (e := find_trivial_edge(self.gog, self.tree)) is not None:
+            raise NotNormalized(
+                f"tree half-edge {echo(e)} has edge order "
+                f"{self.gog.edge_order[e]} >= terminus order"
+            )
+
+
+def _trivial_edges(gog: GraphOfGroups, tree: SpanningTree) -> Iterator[str]:
+    """The tree half-edges whose order equals (so, as it divides it, is at
+    least) the order at their terminus, in ascending id order."""
+    g = gog.graph
+    for e in sorted(tree.tree_edges):
+        if gog.edge_order[e] == gog.vertex_order[g.terminus[e]]:
+            yield e
+
+
+def find_trivial_edge(gog: GraphOfGroups, tree: SpanningTree) -> str | None:
+    """The first of ``_trivial_edges``, or None. Both half-edges of a pair
+    are scanned, so an onto embedding at either endpoint is found."""
+    return next(_trivial_edges(gog, tree), None)
 
 
 def check_valid(gog: GraphOfGroups) -> None:

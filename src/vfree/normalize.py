@@ -20,9 +20,9 @@ contracted edge's order equals r's order and divides s's). As the edge
 order divides the terminus order, an edge that is not onto at r is not
 onto at s either. So the trivial tree half-edges of every step are among
 those of the start, and a candidate passed over once (contracted, or no
-longer trivial) is never needed again. One ascending pass over the start's
-candidates, skipping those, therefore yields exactly the step sequence of
-``find_trivial_edge`` + ``contract_edge`` repeated. Merged vertices are
+longer trivial) is never needed again. One pass over ``gog._trivial_edges``
+of the start, skipping those, therefore yields exactly the step sequence
+of ``find_trivial_edge`` + ``contract_edge`` repeated. Merged vertices are
 tracked by union-find (removed -> survivor), so the current terminus of e
 is find(terminus(e)); the whole pass takes O((V + H) log H) time.
 
@@ -37,7 +37,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotTreeEdge, NotTrivial, echo
-from .gog import GraphOfGroups, NormalizedGog, build_gog
+from .gog import GraphOfGroups, NormalizedGog, _trivial_edges, build_gog
+from .gog import find_trivial_edge  # noqa: F401  (re-exported)
 from .graph import SpanningTree, spanning_tree
 
 
@@ -46,19 +47,6 @@ class ContractionStep:
     contracted_edge: str
     removed_vertex: str
     surviving_vertex: str
-
-
-def find_trivial_edge(gog: GraphOfGroups, tree: SpanningTree) -> str | None:
-    """Smallest-id tree half-edge whose order equals its terminus order.
-
-    Both half-edges of a pair are scanned, so an onto embedding at either
-    endpoint is found (at the origin side, via the reversed half-edge).
-    """
-    g = gog.graph
-    for e in sorted(tree.tree_edges):
-        if gog.edge_order[e] == gog.vertex_order[g.terminus[e]]:
-            return e
-    return None
 
 
 def contract_edge(
@@ -100,15 +88,12 @@ def normalize(gog: GraphOfGroups) -> tuple[NormalizedGog, list[ContractionStep]]
     The spanning tree is built once, rooted at the smallest vertex id, and
     shrinks with each contraction. Returns the normalized datum and the
     step log (empty, with the input datum, when it is already normalized).
-    The steps are those of repeated ``find_trivial_edge`` +
-    ``contract_edge``; the result datum is built once, at the end.
+    One pass over ``_trivial_edges`` of the input gives the steps of
+    repeated ``find_trivial_edge`` + ``contract_edge``; the result datum
+    is built once, at the end.
     """
     g = gog.graph
     tree = spanning_tree(g, g.vertices[0])
-    candidates = sorted(
-        e for e in tree.tree_edges
-        if gog.edge_order[e] == gog.vertex_order[g.terminus[e]]
-    )
     merged: dict[str, str] = {}  # removed vertex -> vertex it went into
 
     def find(v: str) -> str:
@@ -121,7 +106,7 @@ def normalize(gog: GraphOfGroups) -> tuple[NormalizedGog, list[ContractionStep]]
 
     dropped: set[str] = set()
     steps: list[ContractionStep] = []
-    for e in candidates:
+    for e in _trivial_edges(gog, tree):
         if e in dropped:
             continue
         removed = find(g.terminus[e])
