@@ -11,32 +11,39 @@ order d}, which ``_net_orders`` collapses in one pass over the datum:
 * mu = 1 - m*chi, the rank of a free subgroup of index m.
 
 Past that pass, the type vector costs O(d(m) * #distinct orders) plus the
-factorization of m. chi is also recoverable from the type data alone via
+factorization of m. Both are capped: d(m) at _MAX_DIVISORS, and the
+factorization at _RHO_STEPS Pollard rho steps per cofactor; past a cap,
+``TooLarge`` is raised before any output is built. chi is also recoverable from the type data alone via
 chi = -(1/m) * sum over k|m of totient(m/k) * zeta_k, which the test suite
 checks against a direct sum over vertices and edges.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NonIntegralRank
+from .errors import NonIntegralRank, TooLarge
 from .gog import GraphOfGroups, NormalizedGog
 
 
-# trial division stops to test the cofactor for primality once it reaches
-# this bound; Miller-Rabin on the first 13 prime bases is exact below
-# _MR_LIMIT (Sorenson and Webster, Math. Comp. 2017)
+# trial division stops at _TRIAL_BOUND; Miller-Rabin on the first 13 prime
+# bases is exact below _MR_LIMIT (Sorenson and Webster, Math. Comp. 2017)
 _TRIAL_BOUND = 1000
 _MR_LIMIT = 3317044064679887385961981
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# Pollard rho steps per cofactor; a prime factor near 10^9 takes about 3*10^4
+_RHO_STEPS = 1 << 20
+# the most divisors ``divisors`` lists
+_MAX_DIVISORS = 1 << 20
 
 
 def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for odd 41 < n < _MR_LIMIT."""
+    """Deterministic Miller-Rabin for odd 41 < n < _MR_LIMIT; at or above
+    it, False still proves n composite."""
     d, s = n - 1, 0
     while d % 2 == 0:
         d, s = d // 2, s + 1
@@ -53,31 +60,82 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _rho(n: int) -> int:
+    """A proper factor of the odd composite n, by Pollard rho with Brent's
+    cycle detection (Brent, BIT 1980) on x -> x^2 + c from x = 2, for
+    c = 1, 2, ... in turn; TooLarge after _RHO_STEPS steps."""
+    steps = 0
+    for c in itertools.count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            steps += 2 * r
+            if steps > _RHO_STEPS:
+                raise TooLarge(
+                    f"a {len(str(n))}-digit cofactor did not split "
+                    f"in {_RHO_STEPS} Pollard rho steps"
+                )
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:  # a batch overshot: redo it one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
+
+
 def _factorize(n: int) -> dict[int, int]:
-    """prime -> exponent, by trial division that divides out each prime it
-    finds. At _TRIAL_BOUND, a cofactor below _MR_LIMIT that Miller-Rabin
-    proves prime ends the search; a cofactor that is composite or not below
-    _MR_LIMIT still costs up to its square root in steps."""
+    """prime -> exponent. Trial division up to _TRIAL_BOUND; then each
+    cofactor is proven prime by Miller-Rabin or split by ``_rho``, and the
+    pieces are factored again. TooLarge when rho does not split one, or
+    when one of at least _MR_LIMIT passes Miller-Rabin, since its
+    primality is then not proven."""
     if n < 1:
         raise ValueError(f"factorization requires n >= 1, got {n}")
     powers: dict[int, int] = {}
     p = 2
-    while p * p <= n:
-        if p == _TRIAL_BOUND and n < _MR_LIMIT and _is_prime(n):
-            break
+    while p < _TRIAL_BOUND and p * p <= n:
         while n % p == 0:
             n //= p
             powers[p] = powers.get(p, 0) + 1
         p += 1
-    if n > 1:
-        powers[n] = 1
+    # every prime factor left is at least p, so a cofactor below p^2 is prime
+    todo = [n] if n > 1 else []
+    while todo:
+        c = todo.pop()
+        if c < p * p or _is_prime(c):
+            if c >= _MR_LIMIT:
+                raise TooLarge(f"a {len(str(c))}-digit cofactor cannot be proven prime")
+            powers[c] = powers.get(c, 0) + 1
+        else:
+            d = _rho(c)
+            todo += [d, c // d]
     return powers
 
 
 def divisors(n: int) -> list[int]:
-    """Positive divisors of n >= 1, ascending."""
+    """Positive divisors of n >= 1, ascending. TooLarge, before any is
+    built, when there are more than _MAX_DIVISORS."""
+    powers = _factorize(n)
+    count = math.prod(k + 1 for k in powers.values())
+    if count > _MAX_DIVISORS:
+        raise TooLarge(
+            f"a {len(str(n))}-digit number has {count} divisors, "
+            f"more than {_MAX_DIVISORS}"
+        )
     divs = [1]
-    for p, k in _factorize(n).items():
+    for p, k in powers.items():
         divs = [d * p**i for d in divs for i in range(k + 1)]
     return sorted(divs)
 

@@ -231,6 +231,45 @@ class TestInvariants:
             "zeta_1=1", "zeta_2305843009213693951=0", "mu=2305843009213693951"
         ]
 
+    def run_invariants(self, gog_file, text):
+        # a subprocess, whose timeout fails the test if the input hangs
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        return subprocess.run(
+            [sys.executable, "-m", "vfree.cli", "invariants", gog_file(text)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+
+    def test_semiprime_order_is_split(self, gog_file):
+        # m = 998244353 * 1000000007: Pollard rho splits the cofactor
+        result = self.run_invariants(gog_file, "vertex a 998244359987710471\nedge l a a 1\n")
+        assert (result.returncode, result.stderr) == (0, "")
+        lines = result.stdout.splitlines()
+        assert lines[0] == "m=998244359987710471"
+        assert [line for line in lines if line.startswith(("zeta_", "mu="))] == [
+            "zeta_1=1", "zeta_998244353=1", "zeta_1000000007=1",
+            "zeta_998244359987710471=0", "mu=998244359987710471",
+        ]
+
+    @staticmethod
+    def prime_path(n):
+        primes = [p for p in range(2, 200) if all(p % q for q in range(2, p))][:n]
+        return "".join(f"vertex v{i} {p}\n" for i, p in enumerate(primes)) + "".join(
+            f"edge e{i} v{i} v{i + 1} 1\n" for i in range(n - 1)
+        )
+
+    def test_too_many_divisors_prints_nothing(self, gog_file):
+        # m is the product of the first 40 primes: 2^40 divisors
+        result = self.run_invariants(gog_file, self.prime_path(40))
+        assert (result.returncode, result.stdout) == (1, "")
+        assert result.stderr.startswith("TooLarge: ")
+        assert len(result.stderr.splitlines()) == 1
+
+    def test_prime_path_below_the_divisor_cap(self, gog_file):
+        result = self.run_invariants(gog_file, self.prime_path(12))
+        assert (result.returncode, result.stderr) == (0, "")
+        zeta = [line for line in result.stdout.splitlines() if line.startswith("zeta_")]
+        assert len(zeta) == 4096
+
 
 class TestNormalize:
     def test_collapses_and_logs_steps(self, gog_file, capsys):

@@ -16,7 +16,8 @@ from helpers import (
     segment,
     small_gogs,
 )
-from vfree.errors import NonIntegralRank
+from vfree.errors import NonIntegralRank, TooLarge
+from vfree import invariants
 from vfree.gog import build_gog
 from vfree.invariants import (
     _MR_LIMIT,
@@ -49,6 +50,10 @@ def highly_composite_datum():
         vertices[f"w{i}"] = orders[3 + i % 4]
         edges.append((f"s{i}", "v", f"w{i}", orders[i % 3]))
     return build_gog(vertices, edges)
+
+
+def _is_small_prime(p):
+    return p > 1 and all(p % q for q in range(2, p))
 
 
 class TestTotientAndDivisors:
@@ -98,7 +103,7 @@ class TestTotientAndDivisors:
 
     def test_against_plain_trial_division(self):
         # random n < 10^12 often leave a cofactor past the trial bound, prime
-        # (ended by Miller-Rabin) or composite (trial division goes on)
+        # (ended by Miller-Rabin) or composite (split by Pollard rho)
         def trial_factors(n):
             powers, p = {}, 2
             while p * p <= n:
@@ -151,6 +156,48 @@ class TestTotientAndDivisors:
         assert len(divs) == 19 * 19
         assert divs[0] == 1 and divs[-1] == n and divs == sorted(divs)
         assert totient(n) == n * 2 // 5
+
+    @pytest.mark.parametrize(
+        "p, q",
+        [(10007, 10009), (99991, 1000003), (998244353, 1000000007),
+         (999999929, 999999937), (1000003, 1000003)],
+    )
+    def test_semiprimes_split(self, p, q):
+        assert _is_prime(p) and _is_prime(q)
+        assert _factorize(p * q) == ({p: 2} if p == q else {p: 1, q: 1})
+
+    @pytest.mark.parametrize("p", [1009, 99991, 1000003])
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_prime_powers_split(self, p, k):
+        assert _factorize(p**k) == {p: k}
+        assert divisors(p**k) == [p**i for i in range(k + 1)]
+
+    def test_unproven_prime_is_too_large(self):
+        # 2^89 - 1 is prime, but past the limit Miller-Rabin proves nothing
+        assert 2**89 - 1 > _MR_LIMIT
+        with pytest.raises(TooLarge) as exc:
+            _factorize(2**89 - 1)
+        assert exc.value.message == "a 27-digit cofactor cannot be proven prime"
+
+    def test_two_large_primes_are_too_large(self):
+        p, q = 999999999999947, 999999999999989
+        assert _is_prime(p) and _is_prime(q)
+        with pytest.raises(TooLarge) as exc:
+            _factorize(p * q)
+        assert "30-digit cofactor" in exc.value.message
+        assert "\n" not in exc.value.message
+
+    def test_divisor_cap(self, monkeypatch):
+        primorial = math.prod(p for p in range(2, 80) if _is_small_prime(p))
+        with pytest.raises(TooLarge) as exc:
+            divisors(primorial)  # 22 primes
+        assert exc.value.message == (
+            "a 31-digit number has 4194304 divisors, more than 1048576"
+        )
+        monkeypatch.setattr(invariants, "_MAX_DIVISORS", 12)
+        assert len(divisors(60)) == 12
+        with pytest.raises(TooLarge):
+            divisors(120)
 
     @pytest.mark.parametrize("n", [0, -4])
     def test_nonpositive_raises(self, n):
