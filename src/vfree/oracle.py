@@ -21,6 +21,7 @@ from .graph import Graph, SpanningTree, build_graph, orient_from_root
 MAX_ORACLE_DEGREE = 6
 MAX_ORACLE_TREE_EDGES = 20
 MAX_SHAPE_ORDER = 12
+MAX_RANDOM_TREE_EDGES = 10
 
 
 def _acts_transitively(perms: tuple[tuple[int, ...], ...], n: int) -> bool:
@@ -211,9 +212,9 @@ def random_gog(
     return build_gog(vertex_orders, specs)
 
 
-def random_tree_graph(rng: random.Random, max_geometric_edges: int = 10) -> Graph:
+def random_tree_graph(rng: random.Random) -> Graph:
     """A random tree as a half-edge graph (random attachment order)."""
-    n_edges = rng.randint(0, max_geometric_edges)
+    n_edges = rng.randint(0, MAX_RANDOM_TREE_EDGES)
     vertices = [f"v{i:02d}" for i in range(1, n_edges + 2)]
     edges = [
         (f"e{i - 1:02d}", f"v{rng.randint(1, i - 1):02d}", f"v{i:02d}")

@@ -164,7 +164,7 @@ def suite_oracle(seed: int, bound: int):
     trees = 200
     bad = 0
     for _ in range(trees):
-        graph = oracle.random_tree_graph(rng, 10)
+        graph = oracle.random_tree_graph(rng)
         tree = spanning_tree(graph, graph.vertices[0])
         v0 = rng.choice(graph.vertices)
         if not oracle.orientation_uniqueness(tree, v0):

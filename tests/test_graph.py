@@ -231,7 +231,7 @@ class TestOrientFromRoot:
     def test_distance_increases_along_chosen_edges(self):
         rng = random.Random(7)
         for _ in range(25):
-            g = random_tree_graph(rng, 10)
+            g = random_tree_graph(rng)
             t = spanning_tree(g, g.vertices[0])
             v0 = rng.choice(g.vertices)
             o = orient_from_root(t, v0)

@@ -80,7 +80,7 @@ class TestOrientationUniqueness:
     def test_random_trees(self):
         rng = random.Random(42)
         for _ in range(50):
-            g = random_tree_graph(rng, 10)
+            g = random_tree_graph(rng)
             tree = spanning_tree(g, g.vertices[0])
             v0 = rng.choice(g.vertices)
             assert orientation_uniqueness(tree, v0)
