@@ -11,11 +11,11 @@ order d}, which ``_net_orders`` collapses in one pass over the datum:
 * mu = 1 - m*chi, the rank of a free subgroup of index m.
 
 Past that pass, the type vector costs O(d(m) * #distinct orders) plus the
-factorization of m. Both are capped: d(m) at _MAX_DIVISORS, and the
-factorization at _RHO_STEPS Pollard rho steps per cofactor; past a cap,
-``TooLarge`` is raised before any output is built. chi is also recoverable from the type data alone via
-chi = -(1/m) * sum over k|m of totient(m/k) * zeta_k, which the test suite
-checks against a direct sum over vertices and edges.
+factorization of m. Both are capped: d(m) at _MAX_DIVISORS, and Pollard
+rho at _RHO_STEPS steps per cofactor; past a cap, ``TooLarge`` is raised
+before the divisor list is built. chi is also recoverable from the type
+data alone via chi = -(1/m) * sum over k|m of totient(m/k) * zeta_k,
+which the test suite checks against a direct sum over vertices and edges.
 """
 
 from __future__ import annotations
@@ -77,12 +77,14 @@ def _rho(n: int) -> int:
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
+            # compare x with the next r values of y; q gathers the
+            # differences, so one gcd serves a batch of 128
             k = 0
             while k < r and g == 1:
                 ys = y
                 for _ in range(min(128, r - k)):
                     y = (y * y + c) % n
-                    q = q * abs(x - y) % n
+                    q = q * (x - y) % n
                 g = math.gcd(q, n)
                 k += 128
             r *= 2
@@ -90,7 +92,7 @@ def _rho(n: int) -> int:
             g = 1
             while g == 1:
                 ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
+                g = math.gcd(x - ys, n)
         if g != n:
             return g
 

@@ -214,15 +214,19 @@ class TestInvariants:
         assert "mu=4818805992000000" in lines
 
 
-    def test_prime_order_is_proven_prime(self, gog_file):
-        # m = 2^61 - 1: trial division to its square root would not end, so
-        # this runs in a subprocess whose timeout fails the test instead of
-        # hanging the suite
-        path = gog_file("vertex a 2305843009213693951\nedge l a a 1\n")
+    def run_invariants(self, gog_file, text):
+        # a subprocess, whose timeout fails the test instead of hanging the
+        # suite if the input does not end
         env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-        result = subprocess.run(
-            [sys.executable, "-m", "vfree.cli", "invariants", path],
+        return subprocess.run(
+            [sys.executable, "-m", "vfree.cli", "invariants", gog_file(text)],
             capture_output=True, text=True, env=env, timeout=120,
+        )
+
+    def test_prime_order_is_proven_prime(self, gog_file):
+        # m = 2^61 - 1: trial division to its square root would not end
+        result = self.run_invariants(
+            gog_file, "vertex a 2305843009213693951\nedge l a a 1\n"
         )
         assert (result.returncode, result.stderr) == (0, "")
         lines = result.stdout.splitlines()
@@ -231,17 +235,11 @@ class TestInvariants:
             "zeta_1=1", "zeta_2305843009213693951=0", "mu=2305843009213693951"
         ]
 
-    def run_invariants(self, gog_file, text):
-        # a subprocess, whose timeout fails the test if the input hangs
-        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-        return subprocess.run(
-            [sys.executable, "-m", "vfree.cli", "invariants", gog_file(text)],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
-
     def test_semiprime_order_is_split(self, gog_file):
         # m = 998244353 * 1000000007: Pollard rho splits the cofactor
-        result = self.run_invariants(gog_file, "vertex a 998244359987710471\nedge l a a 1\n")
+        result = self.run_invariants(
+            gog_file, "vertex a 998244359987710471\nedge l a a 1\n"
+        )
         assert (result.returncode, result.stderr) == (0, "")
         lines = result.stdout.splitlines()
         assert lines[0] == "m=998244359987710471"
