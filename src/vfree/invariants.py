@@ -60,6 +60,14 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _digits(n: int) -> int:
+    """The decimal digits of n >= 1. Unlike len(str(n)), this holds past
+    the interpreter's int-to-str limit, which only the CLI lifts."""
+    from decimal import Decimal  # only error messages need it
+
+    return Decimal(n).adjusted() + 1
+
+
 def _rho(n: int) -> int:
     """A proper factor of the odd composite n, by Pollard rho with Brent's
     cycle detection (Brent, BIT 1980) on x -> x^2 + c from x = 2, for
@@ -71,7 +79,7 @@ def _rho(n: int) -> int:
             steps += 2 * r
             if steps > _RHO_STEPS:
                 raise TooLarge(
-                    f"a {len(str(n))}-digit cofactor did not split "
+                    f"a {_digits(n)}-digit cofactor did not split "
                     f"in {_RHO_STEPS} Pollard rho steps"
                 )
             x = y
@@ -118,7 +126,7 @@ def _factorize(n: int) -> dict[int, int]:
         c = todo.pop()
         if c < p * p or _is_prime(c):
             if c >= _MR_LIMIT:
-                raise TooLarge(f"a {len(str(c))}-digit cofactor cannot be proven prime")
+                raise TooLarge(f"a {_digits(c)}-digit cofactor cannot be proven prime")
             powers[c] = powers.get(c, 0) + 1
         else:
             d = _rho(c)
@@ -133,7 +141,7 @@ def divisors(n: int) -> list[int]:
     count = math.prod(k + 1 for k in powers.values())
     if count > _MAX_DIVISORS:
         raise TooLarge(
-            f"a {len(str(n))}-digit number has {count} divisors, "
+            f"a {_digits(n)}-digit number has {count} divisors, "
             f"more than {_MAX_DIVISORS}"
         )
     divs = [1]

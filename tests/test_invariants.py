@@ -194,6 +194,10 @@ class TestTotientAndDivisors:
         assert exc.value.message == (
             "a 31-digit number has 4194304 divisors, more than 1048576"
         )
+        # past the interpreter's 4300-digit int-to-str limit too
+        with pytest.raises(TooLarge) as exc:
+            divisors(2**20000 * primorial)
+        assert exc.value.message.startswith("a 6052-digit number has ")
         monkeypatch.setattr(invariants, "_MAX_DIVISORS", 12)
         assert len(divisors(60)) == 12
         with pytest.raises(TooLarge):
