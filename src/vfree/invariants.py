@@ -70,7 +70,7 @@ def _digits(n: int) -> int:
 
 def _rho(n: int) -> int:
     """A proper factor of the odd composite n, by Pollard rho with Brent's
-    cycle detection (Brent, BIT 1980) on x -> x^2 + c from x = 2, for
+    cycle detection (Brent, BIT 1980) on y -> y^2 + c from y = 2, for
     c = 1, 2, ... in turn; TooLarge after _RHO_STEPS steps."""
     steps = 0
     for c in itertools.count(1):
