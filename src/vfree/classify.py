@@ -19,11 +19,11 @@ with the same parameters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 from .errors import UnclassifiableShape
 from .gog import NormalizedGog
+from .graph import Record
 from .invariants import euler_char, free_rank, m_gamma
 
 
@@ -52,8 +52,7 @@ class Label(Enum):
         self.family = family
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(Record):
     """The free rank mu, the class, the ``params`` that fill ``label.line``,
     and the witness ids (vertices and half-edges) of the matched shape."""
 
@@ -63,8 +62,7 @@ class ClassificationReport:
     witness: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class LargenessReport:
+class LargenessReport(Record):
     chi_negative: bool
     rank_ge_2: bool
     structural_vii: bool

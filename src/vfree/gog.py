@@ -32,7 +32,6 @@ from __future__ import annotations
 import re
 import sys
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 from .errors import (
     BadHalfEdgePair,
@@ -48,7 +47,7 @@ from .errors import (
     cut,
     echo,
 )
-from .graph import BAR_SUFFIX, Graph, SpanningTree, build_graph, is_connected
+from .graph import BAR_SUFFIX, Graph, Record, SpanningTree, build_graph, is_connected
 
 # ASCII decimal digits only: int() would also take "1_2", "+1" and "٣"
 _ORDER_TEXT = re.compile(r"-?[0-9]+")
@@ -57,8 +56,7 @@ _ORDER_TEXT = re.compile(r"-?[0-9]+")
 MAX_ORDER_DIGITS = 4300
 
 
-@dataclass(frozen=True)
-class GraphOfGroups:
+class GraphOfGroups(Record):
     """A nonempty connected half-edge graph with valid order labellings;
     construction raises an ``InvalidGog`` subclass otherwise."""
 
@@ -70,8 +68,7 @@ class GraphOfGroups:
         check_valid(self)
 
 
-@dataclass(frozen=True)
-class NormalizedGog:
+class NormalizedGog(Record):
     """A datum whose spanning tree has no trivial edges.
 
     Along every tree half-edge the edge order is strictly smaller than the

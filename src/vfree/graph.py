@@ -18,7 +18,6 @@ reproducible. Values are immutable once built.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import DanglingVertexRef, GogSyntaxError, NotConnected, UnknownRoot, echo
@@ -26,8 +25,49 @@ from .errors import DanglingVertexRef, GogSyntaxError, NotConnected, UnknownRoot
 BAR_SUFFIX = "~"
 
 
-@dataclass(frozen=True)
-class Graph:
+class Record:
+    """An immutable record whose fields are its class's annotations, in
+    order. It is built from them by position or by keyword, and then
+    ``__post_init__`` validates it. Records are equal when their classes
+    and fields are, hash by their fields, and refuse attribute assignment
+    and deletion."""
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(cls.__annotations__)
+
+    def __init__(self, *args, **kwargs) -> None:
+        fields = self._fields
+        values = dict(zip(fields, args), **kwargs)
+        if len(args) + len(kwargs) != len(fields) or values.keys() != set(fields):
+            raise TypeError(f"{type(self).__name__} takes the fields {fields}")
+        self.__dict__.update(values)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        pass
+
+    def _values(self) -> tuple:
+        return tuple(self.__dict__[f] for f in self._fields)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        pairs = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values()))
+        return f"{type(self).__name__}({pairs})"
+
+    def __setattr__(self, name: str, *value) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+
+class Graph(Record):
     vertices: tuple[str, ...]
     half_edges: tuple[str, ...]
     bar: dict[str, str]
@@ -42,9 +82,9 @@ class Graph:
     def _adjacency(self) -> dict[str, tuple[str, ...]]:
         """origin -> its half-edges, ascending by id, built in one pass.
 
-        ``cached_property`` stores the table in the instance ``__dict__``,
-        which a frozen dataclass allows; it is not a field, so equality is
-        unchanged.
+        ``cached_property`` stores the table in the instance ``__dict__``
+        directly, past ``Record.__setattr__``; it is not a field, so
+        equality and hashing ignore it.
         """
         out: dict[str, list[str]] = {}
         for e in self.half_edges:
@@ -59,8 +99,7 @@ class Graph:
         return self.origin[e] == self.terminus[e]
 
 
-@dataclass(frozen=True)
-class SpanningTree:
+class SpanningTree(Record):
     """A spanning tree of ``graph``: tree_edges is closed under bar."""
 
     graph: Graph

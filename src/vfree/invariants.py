@@ -8,14 +8,19 @@ order d}, which ``_net_orders`` collapses in one pass over the datum:
 
 * zeta_k = sum over d | k of c_d, for each divisor k of m,
 * chi = -sum over d of c_d / d, one Fraction per distinct order,
-* mu = 1 - m*chi, the rank of a free subgroup of index m.
+* mu = 1 - m*chi = 1 + sum over d of c_d * (m/d), the rank of a free
+  subgroup of index m, computed in integers.
+
+Only ``euler_char`` and ``euler_from_type`` import ``fractions``, so the
+rank and the type vector load neither it nor ``decimal``.
 
 Past that pass, the type vector costs O(d(m) * #distinct orders) plus the
 factorization of m. Both are capped: d(m) at _MAX_DIVISORS, and Pollard
-rho at _RHO_STEPS steps per cofactor; past a cap, ``TooLarge`` is raised
-before the divisor list is built. chi is also recoverable from the type
-data alone via chi = -(1/m) * sum over k|m of totient(m/k) * zeta_k,
-which the test suite checks against a direct sum over vertices and edges.
+rho at _RHO_WORK bit-steps per cofactor (a step on a b-bit cofactor costs
+max(b, 128)); past a cap, ``TooLarge`` is raised before the divisor list
+is built. chi is also recoverable from the type data alone via
+chi = -(1/m) * sum over k|m of totient(m/k) * zeta_k, which the test suite
+checks against a direct sum over vertices and edges.
 """
 
 from __future__ import annotations
@@ -23,11 +28,10 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import NonIntegralRank, TooLarge
 from .gog import GraphOfGroups, NormalizedGog
+from .graph import Record
 
 
 # trial division stops at _TRIAL_BOUND; Miller-Rabin on the first 13 prime
@@ -35,8 +39,10 @@ from .gog import GraphOfGroups, NormalizedGog
 _TRIAL_BOUND = 1000
 _MR_LIMIT = 3317044064679887385961981
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-# Pollard rho steps per cofactor; a prime factor near 10^9 takes about 3*10^4
-_RHO_STEPS = 1 << 20
+# Pollard rho work per cofactor, in bit-steps: a step multiplies numbers of
+# the cofactor's size, so a b-bit cofactor gets _RHO_WORK // max(b, 128)
+# steps; 2^20 up to 128 bits, where a factor near 10^9 takes about 3*10^4
+_RHO_WORK = 1 << 27
 # the most divisors ``divisors`` lists
 _MAX_DIVISORS = 1 << 20
 
@@ -71,16 +77,18 @@ def _digits(n: int) -> int:
 def _rho(n: int) -> int:
     """A proper factor of the odd composite n, by Pollard rho with Brent's
     cycle detection (Brent, BIT 1980) on y -> y^2 + c from y = 2, for
-    c = 1, 2, ... in turn; TooLarge after _RHO_STEPS steps."""
+    c = 1, 2, ... in turn; TooLarge when its steps exceed its share of
+    _RHO_WORK."""
+    budget = _RHO_WORK // max(n.bit_length(), 128)
     steps = 0
     for c in itertools.count(1):
         y, r, q, g = 2, 1, 1, 1
         while g == 1:
             steps += 2 * r
-            if steps > _RHO_STEPS:
+            if steps > budget:
                 raise TooLarge(
                     f"a {_digits(n)}-digit cofactor did not split "
-                    f"in {_RHO_STEPS} Pollard rho steps"
+                    f"in {budget} Pollard rho steps"
                 )
             x = y
             for _ in range(r):
@@ -155,8 +163,7 @@ def totient(n: int) -> int:
     return math.prod(p ** (k - 1) * (p - 1) for p, k in _factorize(n).items())
 
 
-@dataclass(frozen=True)
-class TypeVector:
+class TypeVector(Record):
     """m together with the divisor-indexed integers zeta_k.
 
     zeta_k >= 0 for k < m, and zeta_m >= -1 with equality exactly when the
@@ -182,6 +189,8 @@ def _net_orders(gog: GraphOfGroups) -> tuple[int, dict[int, int]]:
 
 def euler_char(gog: GraphOfGroups) -> Fraction:
     """chi = -sum_d c_d/d = sum(1/|G_v|) - sum(1/|G_e|)."""
+    from fractions import Fraction  # here, so free_rank and type_vector never load it
+
     _, net = _net_orders(gog)
     return -sum((Fraction(c, d) for d, c in net.items()), Fraction(0))
 
@@ -195,17 +204,24 @@ def type_vector(gog: GraphOfGroups) -> TypeVector:
 
 def euler_from_type(tv: TypeVector) -> Fraction:
     """Recover the Euler characteristic from the type data alone."""
+    from fractions import Fraction
+
     total = sum(totient(tv.m // k) * z for k, z in tv.zeta.items())
     return Fraction(-total, tv.m)
 
 
 def free_rank(gog: GraphOfGroups) -> int:
-    """mu = 1 - m*chi: the rank of a free subgroup of index m.
+    """mu = 1 - m*chi = 1 + sum_d c_d*(m/d): the rank of a free subgroup of
+    index m, in integers when every d divides m, as it does on valid data.
 
     Integrality and nonnegativity hold for every genuine datum; a violation
     means the order data does not come from a graph of groups.
     """
-    mu = 1 - m_gamma(gog) * euler_char(gog)
+    m, net = _net_orders(gog)
+    if all(m % d == 0 for d in net):
+        mu = 1 + sum(c * (m // d) for d, c in net.items())
+    else:  # corrupt orders only
+        mu = 1 - m * euler_char(gog)
     if mu.denominator != 1 or mu < 0:
         raise NonIntegralRank(f"1 - m*chi = {mu} is not a nonnegative integer")
     return int(mu)

@@ -34,16 +34,13 @@ a contracted datum is validated like any other and keeps the ``name`` /
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import NotTreeEdge, NotTrivial, echo
 from .gog import GraphOfGroups, NormalizedGog, _trivial_edges, build_gog
 from .gog import find_trivial_edge  # noqa: F401  (re-exported)
-from .graph import SpanningTree, spanning_tree
+from .graph import Record, SpanningTree, spanning_tree
 
 
-@dataclass(frozen=True)
-class ContractionStep:
+class ContractionStep(Record):
     contracted_edge: str
     removed_vertex: str
     surviving_vertex: str

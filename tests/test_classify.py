@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import pytest
@@ -18,6 +17,7 @@ from helpers import (
     triple_c2,
 )
 from vfree.classify import (
+    ClassificationReport,
     Label,
     classify,
     largeness_report,
@@ -247,16 +247,20 @@ class TestDistinguishRank1:
 
     def test_inconsistent_report(self):
         (loop, loop_gog), (amalgam, amalgam_gog) = rank1(hnn_loop(4, 4)), rank1(dihedral())
+
+        def relabelled(rep, label):
+            return ClassificationReport(rep.rank, label, rep.params, rep.witness)
+
         # labels swapped against their type vectors; raised even under -O
         with pytest.raises(AssertionError):
             distinguish_rank1(
-                (dataclasses.replace(loop, label=Label.R1_II), loop_gog),
+                (relabelled(loop, Label.R1_II), loop_gog),
                 (amalgam, amalgam_gog),
             )
         with pytest.raises(AssertionError):
             distinguish_rank1(
                 (loop, loop_gog),
-                (dataclasses.replace(amalgam, label=Label.R1_I), amalgam_gog),
+                (relabelled(amalgam, Label.R1_I), amalgam_gog),
             )
 
 

@@ -248,6 +248,16 @@ class TestInvariants:
             "zeta_998244359987710471=0", "mu=998244359987710471",
         ]
 
+    def test_large_cofactor_ends_within_the_rho_work_budget(self, gog_file):
+        # m = (2^2203 - 1)(2^2281 - 1), a 4,484-bit product of two Mersenne
+        # primes: rho gets 2^27 // 4484 steps on it, not 2^20
+        m = (2**2203 - 1) * (2**2281 - 1)
+        result = self.run_invariants(gog_file, f"vertex a {m}\nedge l a a 1\n")
+        assert (result.returncode, result.stdout) == (1, "")
+        assert result.stderr == (
+            "TooLarge: a 1350-digit cofactor did not split in 29932 Pollard rho steps\n"
+        )
+
     @staticmethod
     def prime_path(n):
         primes = [p for p in range(2, 200) if all(p % q for q in range(2, p))][:n]

@@ -34,9 +34,15 @@ import json, sys
 from vfree.cli import main
 code = main(sys.argv[1:])
 print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("vfree"))]))
-print("fractions" in sys.modules)
+watched = ("dataclasses", "inspect", "fractions", "decimal")
+print(json.dumps(sorted(m for m in watched if m in sys.modules)))
 """
 BASE = ["vfree", "vfree.cli", "vfree.errors", "vfree.gog", "vfree.graph", "vfree.properties"]
+
+
+# the subcommands that print chi or a counting series, the only users of
+# `fractions` (which imports `decimal`)
+FRACTIONS = {"invariants", "count"}
 
 
 @pytest.mark.parametrize(
@@ -50,10 +56,11 @@ BASE = ["vfree", "vfree.cli", "vfree.errors", "vfree.gog", "vfree.graph", "vfree
     ],
 )
 def test_subcommand_loads_only_what_it_runs(command, extra):
-    *_, loaded, fractions = python("-c", LOADED, command, C2C3).splitlines()
+    # -S: modules that `site` imports are not the program's doing
+    *_, loaded, watched = python("-S", "-c", LOADED, command, C2C3).splitlines()
     assert json.loads(loaded) == [0, sorted(BASE + extra)]
-    if command == "validate":
-        assert fractions == "False"
+    # no record needs `dataclasses`, which imports `inspect`
+    assert json.loads(watched) == (["decimal", "fractions"] if command in FRACTIONS else [])
 
 
 API = """
