@@ -26,11 +26,9 @@ BAR_SUFFIX = "~"
 
 
 class Record:
-    """An immutable record whose fields are its class's annotations, in
-    order. It is built from them by position or by keyword, and then
-    ``__post_init__`` validates it. Records are equal when their classes
-    and fields are, hash by their fields, and refuse attribute assignment
-    and deletion."""
+    """An immutable record: its fields are its class's annotations, given by
+    position or keyword and then validated by ``__post_init__``. It equals
+    only a record of its class with equal fields, and hashes by them."""
 
     def __init_subclass__(cls) -> None:
         cls._fields = tuple(cls.__annotations__)
