@@ -11,8 +11,8 @@ order d}, which ``_net_orders`` collapses in one pass over the datum:
 * mu = 1 - m*chi = 1 + sum over d of c_d * (m/d), the rank of a free
   subgroup of index m, computed in integers.
 
-Only ``euler_char`` and ``euler_from_type`` import ``fractions``, so the
-rank and the type vector load neither it nor ``decimal``.
+Only ``euler_char`` imports ``fractions``, so the rank and the type
+vector load neither it nor ``decimal``.
 
 Past that pass, the type vector costs O(d(m) * #distinct orders) plus the
 factorization of m. Both are capped: d(m) at _MAX_DIVISORS, and Pollard
@@ -35,7 +35,8 @@ from .graph import Record
 
 
 # trial division stops at _TRIAL_BOUND; Miller-Rabin on the first 13 prime
-# bases is exact below _MR_LIMIT (Sorenson and Webster, Math. Comp. 2017)
+# bases is exact below _MR_LIMIT (Sorenson and Webster, Math. Comp. 2017),
+# and at or above it runs base 2 alone
 _TRIAL_BOUND = 1000
 _MR_LIMIT = 3317044064679887385961981
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -48,12 +49,13 @@ _MAX_DIVISORS = 1 << 20
 
 
 def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for odd 41 < n < _MR_LIMIT; at or above
-    it, False still proves n composite."""
+    """Deterministic Miller-Rabin for odd 41 < n < _MR_LIMIT. At or above it
+    no number of rounds proves n prime, so one round, base 2, only looks
+    for a proof that n is composite: False."""
     d, s = n - 1, 0
     while d % 2 == 0:
         d, s = d // 2, s + 1
-    for a in _MR_BASES:
+    for a in _MR_BASES if n < _MR_LIMIT else _MR_BASES[:1]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -117,7 +119,7 @@ def _factorize(n: int) -> dict[int, int]:
     """prime -> exponent. Trial division up to _TRIAL_BOUND; then each
     cofactor is proven prime by Miller-Rabin or split by ``_rho``, and the
     pieces are factored again. TooLarge when rho does not split one, or
-    when one of at least _MR_LIMIT passes Miller-Rabin, since its
+    when one of at least _MR_LIMIT passes its base-2 round, since its
     primality is then not proven."""
     if n < 1:
         raise ValueError(f"factorization requires n >= 1, got {n}")
@@ -200,14 +202,6 @@ def type_vector(gog: GraphOfGroups) -> TypeVector:
     m, net = _net_orders(gog)
     zeta = {k: sum(c for d, c in net.items() if k % d == 0) for k in divisors(m)}
     return TypeVector(m=m, zeta=zeta)
-
-
-def euler_from_type(tv: TypeVector) -> Fraction:
-    """Recover the Euler characteristic from the type data alone."""
-    from fractions import Fraction
-
-    total = sum(totient(tv.m // k) * z for k, z in tv.zeta.items())
-    return Fraction(-total, tv.m)
 
 
 def free_rank(gog: GraphOfGroups) -> int:

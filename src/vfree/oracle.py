@@ -13,6 +13,8 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import Counter
+from collections.abc import Iterator
 
 from .errors import DegreeTooLarge, NonExactDivision, TooLarge
 from .gog import GraphOfGroups, build_gog
@@ -37,12 +39,23 @@ def _acts_transitively(perms: tuple[tuple[int, ...], ...], n: int) -> bool:
     return len(seen) == n
 
 
+def _cycle_types(n: int, largest: int | None = None):
+    """Partitions of n into parts <= largest, each a descending tuple."""
+    if n == 0:
+        yield ()
+    for k in range(min(n, largest or n), 0, -1):
+        for rest in _cycle_types(n - k, k):
+            yield (k, *rest)
+
+
 def free_group_subgroup_counts(r: int, N: int) -> list[int]:
     """Subgroups of index 1..N in the free group of rank r, by enumeration.
 
     For each degree n, every r-tuple of permutations of n points is an
     action; counting the transitive tuples t_n and dividing by (n-1)!
-    gives the subgroup count. The division must be exact.
+    gives the subgroup count. The division must be exact. Conjugating a
+    tuple keeps it transitive, so the first permutation runs over one
+    representative of each cycle type, weighted by its class size n!/z.
     """
     if r < 1:
         raise DegreeTooLarge(f"rank must be >= 1, got {r}")
@@ -52,9 +65,17 @@ def free_group_subgroup_counts(r: int, N: int) -> list[int]:
     for n in range(1, N + 1):
         perms = list(itertools.permutations(range(n)))
         transitive = 0
-        for tup in itertools.product(perms, repeat=r):
-            if _acts_transitively(tup, n):
-                transitive += 1
+        for shape in _cycle_types(n):
+            first: tuple[int, ...] = ()
+            for k in shape:  # the cycle s -> s+1 -> ... -> s+k-1 -> s
+                s = len(first)
+                first += tuple(s + (i + 1) % k for i in range(k))
+            z = math.prod(k**j * math.factorial(j) for k, j in Counter(shape).items())
+            completions = sum(
+                _acts_transitively((first, *rest), n)
+                for rest in itertools.product(perms, repeat=r - 1)
+            )
+            transitive += math.factorial(n) // z * completions
         quot, rem = divmod(transitive, math.factorial(n - 1))
         if rem:
             raise NonExactDivision(f"t_{n} = {transitive} not divisible by ({n}-1)!")
@@ -164,17 +185,18 @@ def _shape_data(order_bound: int):
                             ]
 
 
-def exhaustive_rank2_shapes(order_bound: int) -> list[GraphOfGroups]:
+def exhaustive_rank2_shapes(order_bound: int) -> Iterator[GraphOfGroups]:
     """All normalized data with <= 3 vertices, <= 2 geometric edges, and
     orders <= order_bound, deterministic and duplicate-free.
 
-    The list covers every free rank that such shapes realize; callers
+    The data cover every free rank that such shapes realize; callers
     filter by rank. Every datum is a fixed point of normalization (its
-    BFS spanning tree has no trivial edges).
+    BFS spanning tree has no trivial edges). TooLarge is raised at the
+    call; the data are then built one at a time, as the iterator is read.
     """
     if order_bound > MAX_SHAPE_ORDER:
         raise TooLarge(f"order bound {order_bound} > {MAX_SHAPE_ORDER}")
-    return [build_gog(vorders, especs) for vorders, especs in _shape_data(order_bound)]
+    return (build_gog(vorders, especs) for vorders, especs in _shape_data(order_bound))
 
 
 def random_gog(

@@ -4,13 +4,14 @@ Each suite is a generator fn(seed, bound) yielding (property, ok, detail),
 one triple per property; `bound` sizes the suite (data, terms or index).
 The checks re-derive each property from the counting series and the brute
 force oracles. theta, g and f depend on a datum only through its type
-(m, c), so the ode and growth suites evaluate each distinct type once and
-count each datum by its type's result. The growth suite finds its one
-exception by comparing types with that of a C2*C2*C2 it builds, so no
-suite normalizes. They never call a predictor (the library's `growth_check`,
-the tests' `predicted_parity`), so a check never compares a helper with
-itself. Each suite imports the layers it checks, so importing SUITES,
-which every CLI run does, stays cheap.
+(m, c), so the ode and growth suites stream their corpus, check the first
+datum of each type and count each datum by its type's verdict; they keep
+no datum past its check. The growth suite finds its one exception by
+comparing types with that of a C2*C2*C2 it builds, so no suite normalizes.
+They never call a predictor (the library's `growth_check`, the tests'
+`predicted_parity`), so a check never compares a helper with itself. Each
+suite imports the layers it checks, so importing SUITES, which every CLI
+run does, stays cheap.
 """
 
 from __future__ import annotations
@@ -37,15 +38,19 @@ def _type_key(gog):
     return (m, *chain.from_iterable(sorted(c.items())))
 
 
-def _by_type(data):
-    """(representative, multiplicity) per distinct type, in order of first
-    occurrence."""
-    groups: dict = {}
+def _per_type(data, check):
+    """(data seen, data whose type failed), in one walk over data. check(gog,
+    key) runs on the first datum of each type key and only its verdict is
+    kept; a datum whose type's verdict is None is not seen."""
+    verdicts: dict = {}
+    seen = bad = 0
     for gog in data:
         key = _type_key(gog)
-        rep, n = groups.get(key, (gog, 0))
-        groups[key] = rep, n + 1
-    return list(groups.values())
+        if key not in verdicts:
+            verdicts[key] = check(gog, key)
+        seen += verdicts[key] is not None
+        bad += verdicts[key] is False
+    return seen, bad
 
 
 def suite_convolution(seed: int, bound: int):
@@ -76,20 +81,17 @@ def suite_ode(seed: int, bound: int):
     from . import counting, invariants, oracle
 
     dihedral = build_gog({"a": 2, "b": 2}, [("s", "a", "b", 1)])
-    data = oracle.exhaustive_rank2_shapes(min(bound, 8)) + [dihedral, _bouquet(2)]
     terms = 30
-    bad = 0
-    for gog, n in _by_type(data):
+
+    def check(gog, key):
         # g_0..g_terms makes ode_check read theta_0..theta_{terms-1} only
         th = counting.theta_coeffs(gog, terms)
         g = counting.g_series(gog, terms)
-        if not counting.ode_check(g, th, invariants.m_gamma(gog)):
-            bad += n
-    yield (
-        f"ode-recurrence ({len(data)} data, {terms} terms)",
-        bad == 0,
-        f"{bad} failures",
-    )
+        return counting.ode_check(g, th, invariants.m_gamma(gog))
+
+    shapes = oracle.exhaustive_rank2_shapes(min(bound, 8))
+    seen, bad = _per_type(chain(shapes, (dihedral, _bouquet(2))), check)
+    yield (f"ode-recurrence ({seen} data, {terms} terms)", bad == 0, f"{bad} failures")
     th = counting.theta_coeffs(dihedral)
     yield ("ode-dihedral-coefficients (1, 2)", th == (1, 2), f"got {th}")
 
@@ -121,30 +123,28 @@ def suite_growth(seed: int, bound: int):
         build_gog({"a": 2, "b": 2, "c": 2}, [("s", "a", "b", 1), ("t", "b", "c", 1)])
     )
     n = bound
-    rank2 = [
-        (gog, k)
-        for gog, k in _by_type(oracle.exhaustive_rank2_shapes(8))
-        if invariants.free_rank(gog) == 2
-    ]
-    bad = exceptional = 0
-    for gog, k in rank2:
+    exceptional = []
+
+    def check(gog, key):
+        if invariants.free_rank(gog) != 2:
+            return None
         m = invariants.m_gamma(gog)
         f = counting.f_series(gog, n + 1)
         holds = [
             f[lam] - f[lam - 1] >= m * math.factorial(lam + 1)
             for lam in range(1, n + 1)
         ]
-        if _type_key(gog) == triple_c2:
-            exceptional += k
+        if key == triple_c2:
+            exceptional.append(key)
             # the bound genuinely fails at lambda = 1 for this type only
-            ok = not holds[0] and all(holds[1:])
-        else:
-            ok = all(holds)
-        bad += 0 if ok else k
+            return not holds[0] and all(holds[1:])
+        return all(holds)
+
+    seen, bad = _per_type(oracle.exhaustive_rank2_shapes(8), check)
     yield (
-        f"growth-bound ({sum(k for _, k in rank2)} rank-2 data, lambda <= {n})",
-        bad == 0 and exceptional == 1,
-        f"{bad} failures; {exceptional} triple-C2 exceptional cases, want 1",
+        f"growth-bound ({seen} rank-2 data, lambda <= {n})",
+        bad == 0 and len(exceptional) == 1,
+        f"{bad} failures; {len(exceptional)} triple-C2 exceptional cases, want 1",
     )
 
 

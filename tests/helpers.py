@@ -26,6 +26,7 @@ from vfree.invariants import (
     euler_char,
     free_rank,
     m_gamma,
+    totient,
     type_vector,
 )
 from vfree.normalize import contract_edge, find_trivial_edge
@@ -104,6 +105,13 @@ def euler_char_direct(gog: GraphOfGroups) -> Fraction:
     for e in gog.graph.orientation_reps():
         chi -= Fraction(1, gog.edge_order[e])
     return chi
+
+
+def euler_from_type(tv: TypeVector) -> Fraction:
+    """chi = -(1/m) * sum over k|m of totient(m/k) * zeta_k: the Euler
+    characteristic recovered from the type data alone."""
+    total = sum(totient(tv.m // k) * z for k, z in tv.zeta.items())
+    return Fraction(-total, tv.m)
 
 
 def type_vector_direct(gog: GraphOfGroups) -> TypeVector:

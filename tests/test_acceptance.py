@@ -15,6 +15,7 @@ import pytest
 from helpers import (
     dihedral,
     euler_char_direct,
+    euler_from_type,
     hnn_loop,
     invariant_signature,
     terminal_data_all_orders,
@@ -26,7 +27,6 @@ from vfree.counting import f_series, f_series_rank2, g_series
 from vfree.graph import spanning_tree
 from vfree.invariants import (
     check_edge_bound,
-    euler_from_type,
     free_rank,
     type_vector,
 )
@@ -77,7 +77,7 @@ def normalized_corpus(random_corpus):
 
 @pytest.fixture(scope="session")
 def shapes12():
-    return exhaustive_rank2_shapes(12)
+    return list(exhaustive_rank2_shapes(12))
 
 
 ORACLE_PROPERTIES = [

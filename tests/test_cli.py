@@ -258,6 +258,14 @@ class TestInvariants:
             "TooLarge: a 1350-digit cofactor did not split in 29932 Pollard rho steps\n"
         )
 
+    def test_large_prime_ends_after_one_miller_rabin_round(self, gog_file):
+        # m = 2^4423 - 1, a 1,332-digit Mersenne prime: past the limit of the
+        # deterministic bases only base 2 runs, then primality is unproven
+        m = 2**4423 - 1
+        result = self.run_invariants(gog_file, f"vertex a {m}\nedge l a a 1\n")
+        assert (result.returncode, result.stdout) == (1, "")
+        assert result.stderr == "TooLarge: a 1332-digit cofactor cannot be proven prime\n"
+
     @staticmethod
     def prime_path(n):
         primes = [p for p in range(2, 200) if all(p % q for q in range(2, p))][:n]

@@ -70,7 +70,7 @@ class TestGSeries:
         assert g_series(gog, 0) == [Fraction(1)]
 
     def test_matches_closed_form_on_order8_shapes(self):
-        shapes = exhaustive_rank2_shapes(8)
+        shapes = list(exhaustive_rank2_shapes(8))
         assert len(shapes) == 640
         for gog in shapes:
             assert same_values(g_series(gog, 30), g_closed_form(gog, 30))

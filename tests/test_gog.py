@@ -347,7 +347,7 @@ class TestNormalizedGog:
         # every root of every shape and of seeded random data: the check
         # fails iff find_trivial_edge finds an edge, and names that edge
         seen = set()
-        for gog in exhaustive_rank2_shapes(6) + seeded_random_data(16, 100):
+        for gog in list(exhaustive_rank2_shapes(6)) + seeded_random_data(16, 100):
             for root in gog.graph.vertices:
                 tree = spanning_tree(gog.graph, root)
                 e = find_trivial_edge(gog, tree)

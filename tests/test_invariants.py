@@ -10,6 +10,7 @@ from helpers import (
     c2_star_c3,
     dihedral,
     euler_char_direct,
+    euler_from_type,
     free_bouquet,
     hnn_loop,
     seeded_random_data,
@@ -20,13 +21,13 @@ from vfree import invariants
 from vfree.errors import NonIntegralRank, TooLarge
 from vfree.gog import build_gog
 from vfree.invariants import (
+    _MR_BASES,
     _MR_LIMIT,
     _factorize,
     _is_prime,
     check_edge_bound,
     divisors,
     euler_char,
-    euler_from_type,
     free_rank,
     m_gamma,
     totient,
@@ -179,6 +180,26 @@ class TestTotientAndDivisors:
             _factorize(2**89 - 1)
         assert exc.value.message == "a 27-digit cofactor cannot be proven prime"
 
+    def test_one_round_past_the_limit(self, monkeypatch):
+        # no number of rounds proves primality past the limit, so base 2
+        # alone runs there: one modular exponentiation, not 13
+        bases = []
+
+        def counted_pow(a, *rest):
+            bases.append(a)
+            return pow(a, *rest)
+
+        monkeypatch.setattr(invariants, "pow", counted_pow, raising=False)
+        with pytest.raises(TooLarge) as exc:
+            _factorize(2**89 - 1)
+        assert exc.value.message == "a 27-digit cofactor cannot be proven prime"
+        assert bases == [2]
+        # a composite that fails base 2 still goes to rho; its two factors,
+        # below the limit, each get all 13 bases
+        bases.clear()
+        assert _factorize((2**61 - 1) * (2**31 - 1)) == {2**61 - 1: 1, 2**31 - 1: 1}
+        assert bases == [2, *_MR_BASES, *_MR_BASES]
+
     def test_two_large_primes_are_too_large(self):
         p, q = 999999999999947, 999999999999989
         assert _is_prime(p) and _is_prime(q)
@@ -302,7 +323,7 @@ class TestAgainstDirectFormulas:
             assert_invariants_direct(gog)
 
     def test_order8_shapes(self):
-        shapes = exhaustive_rank2_shapes(8)
+        shapes = list(exhaustive_rank2_shapes(8))
         assert len(shapes) == 640
         for gog in shapes:
             assert_invariants_direct(gog)

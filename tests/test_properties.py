@@ -6,10 +6,11 @@ type must count every datum of that type, so that the reported failure
 count stays the number of data.
 """
 
+import weakref
 from collections import defaultdict
 
 from helpers import dihedral, free_bouquet
-from vfree import counting, properties
+from vfree import counting, oracle, properties
 from vfree.invariants import _net_orders, free_rank, m_gamma
 from vfree.oracle import exhaustive_rank2_shapes
 
@@ -27,7 +28,7 @@ def groups(data):
 
 
 def ode_corpus():
-    return exhaustive_rank2_shapes(8) + [dihedral(), free_bouquet(2)]
+    return list(exhaustive_rank2_shapes(8)) + [dihedral(), free_bouquet(2)]
 
 
 def growth_corpus():
@@ -83,3 +84,26 @@ class TestFailuresCountEveryDatum:
         assert (ok, detail) == (
             False, f"{k} failures; 1 triple-C2 exceptional cases, want 1"
         )
+
+
+class TestStreaming:
+    def test_no_corpus_datum_outlives_its_check(self, monkeypatch):
+        # each build counts the earlier corpus data still alive; a suite
+        # that held its corpus would count up to 639 of them
+        refs = []
+        alive = []
+        build = oracle.build_gog
+
+        def tracked(*args):
+            alive.append(sum(ref() is not None for ref in refs))
+            gog = build(*args)
+            refs.append(weakref.ref(gog))
+            return gog
+
+        monkeypatch.setattr(oracle, "build_gog", tracked)
+        for suite, bound in ((properties.suite_ode, 8), (properties.suite_growth, 25)):
+            refs.clear()
+            alive.clear()
+            assert all(ok for _, ok, _ in suite(0, bound))
+            assert len(refs) == 640
+            assert max(alive) <= 2
