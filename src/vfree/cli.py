@@ -3,7 +3,8 @@
 Subcommands: validate, normalize, invariants, count, classify, largeness,
 verify. Output is deterministic (identical invocations are byte-identical);
 errors go to stderr as stable one-line codes. Exit codes: 0 success,
-1 validation error, 2 usage error, 3 property failure. Each subcommand
+1 validation error, 2 usage error, 3 property failure, 130 interrupted
+(Ctrl-C, one `Interrupted:` line, no traceback). Each subcommand
 imports the modules it runs, so start-up pays only for those.
 """
 
@@ -81,12 +82,12 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_count(args) -> int:
-    from . import counting
+    from . import counting, invariants
 
     gog = parse_gog(_read(args.file))
     n = args.terms
     g = counting.g_series(gog, n) if args.g else None
-    f = counting.f_series(gog, n) if g is None else counting._f_from_g(gog, g)
+    f = counting._f(*invariants._net_orders(gog), g) if g else counting.f_series(gog, n)
     for lam in range(1, n + 1):
         tail = f" {_frac(g[lam])}" if g else ""
         print(f"{lam} {f[lam - 1]}{tail}")
@@ -212,6 +213,9 @@ def main(argv: list[str] | None = None) -> int:
     except VfreeError as exc:
         print(str(exc), file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print("Interrupted: stopped by SIGINT", file=sys.stderr)
+        return 130
     finally:
         if saved is not None:
             sys.set_int_max_str_digits(saved)

@@ -22,7 +22,8 @@ generating function G(z) satisfies an order-mu linear ODE with integer
 coefficients theta_0..theta_mu computable from the type data alone;
 ode_check confirms g against that ODE independently of the ratio above.
 All arithmetic is exact; g_l is a Fraction and f_l an arbitrary-precision
-integer.
+integer. Each public kernel derives the type (m, c) once, by
+``invariants._net_orders``, and mu from it by ``invariants._rank``.
 
 f is solved over the D-scaled integers: with D the lcm of the reduced
 denominators of g_0..g_N and a_l = g_l * D, an int, step l computes
@@ -49,7 +50,7 @@ from .errors import (
     WrongRank,
 )
 from .gog import GraphOfGroups
-from .invariants import _net_orders, free_rank, m_gamma
+from .invariants import _net_orders, _rank
 
 
 def g_series(gog: GraphOfGroups, N: int) -> list[Fraction]:
@@ -85,14 +86,13 @@ def f_series(gog: GraphOfGroups, N: int) -> list[int]:
     (A rank-0 datum presents a finite group, where f_1 = 1 and every later
     count is 0.)
     """
-    return _f_from_g(gog, g_series(gog, N))
+    return _f(*_net_orders(gog), g_series(gog, N))
 
 
-def _f_from_g(gog: GraphOfGroups, g: list[Fraction]) -> list[int]:
-    """f_1..f_N from g = g_series(gog, N), for a caller that also needs g."""
+def _f(m: int, net: dict[int, int], g: list[Fraction]) -> list[int]:
+    """f_1..f_N of the type (m, c) from its g = g_0..g_N, for callers that need g."""
     N = len(g) - 1
-    m = m_gamma(gog)
-    mu = free_rank(gog)
+    mu = _rank(m, net)
     D = math.lcm(*(q.denominator for q in g))
     a = [q.numerator * (D // q.denominator) for q in g]
     f: list[int] = []
@@ -138,7 +138,7 @@ def theta_coeffs(gog: GraphOfGroups, N: int | None = None) -> tuple[int, ...]:
     if N is not None and N < 1:
         raise ValueError(f"theta_coeffs requires N >= 1, got {N}")
     m, net = _net_orders(gog)
-    mu = free_rank(gog)
+    mu = _rank(m, net)
     top = mu if N is None else min(N - 1, mu)
     # exps[k-1] = zeta_{gcd(m,k)}: c_d, for d | m, is added at each multiple k of d
     exps = [0] * m
@@ -268,9 +268,9 @@ def growth_check(gog: GraphOfGroups, N: int) -> bool:
     C2*C2*C2, in any presentation, the bound genuinely fails at l = 1, so
     there the check starts at l = 2.
     """
-    if free_rank(gog) != 2:
-        raise WrongRank(f"free rank {free_rank(gog)} != 2")
     m, net = _net_orders(gog)
+    if (mu := _rank(m, net)) != 2:
+        raise WrongRank(f"free rank {mu} != 2")
     start = 2 if (m, net) == _TRIPLE_C2_TYPE else 1
     f = f_series(gog, N + 1)
     return all(

@@ -9,18 +9,16 @@ order d}, which ``_net_orders`` collapses in one pass over the datum:
 * zeta_k = sum over d | k of c_d, for each divisor k of m,
 * chi = -sum over d of c_d / d, one Fraction per distinct order,
 * mu = 1 - m*chi = 1 + sum over d of c_d * (m/d), the rank of a free
-  subgroup of index m, computed in integers.
+  subgroup of index m, computed in integers from (m, c) by ``_rank``.
 
-Only ``euler_char`` imports ``fractions``, so the rank and the type
-vector load neither it nor ``decimal``.
+Only ``_chi`` imports ``fractions``, so the rank on valid data and the
+type vector load neither it nor ``decimal``.
 
 Past that pass, the type vector costs O(d(m) * #distinct orders) plus the
 factorization of m. Both are capped: d(m) at _MAX_DIVISORS, and Pollard
 rho at _RHO_WORK bit-steps per cofactor (a step on a b-bit cofactor costs
 max(b, 128)); past a cap, ``TooLarge`` is raised before the divisor list
-is built. chi is also recoverable from the type data alone via
-chi = -(1/m) * sum over k|m of totient(m/k) * zeta_k, which the test suite
-checks against a direct sum over vertices and edges.
+is built.
 """
 
 from __future__ import annotations
@@ -160,11 +158,6 @@ def divisors(n: int) -> list[int]:
     return sorted(divs)
 
 
-def totient(n: int) -> int:
-    """Euler's totient of n >= 1, from its factorization."""
-    return math.prod(p ** (k - 1) * (p - 1) for p, k in _factorize(n).items())
-
-
 class TypeVector(Record):
     """m together with the divisor-indexed integers zeta_k.
 
@@ -189,12 +182,16 @@ def _net_orders(gog: GraphOfGroups) -> tuple[int, dict[int, int]]:
     return m_gamma(gog), {d: c for d, c in net.items() if c}
 
 
+def _chi(net: dict[int, int]) -> Fraction:
+    """chi = -sum_d c_d/d from the net orders c."""
+    from fractions import Fraction  # here, so _rank on valid data never loads it
+
+    return -sum((Fraction(c, d) for d, c in net.items()), Fraction(0))
+
+
 def euler_char(gog: GraphOfGroups) -> Fraction:
     """chi = -sum_d c_d/d = sum(1/|G_v|) - sum(1/|G_e|)."""
-    from fractions import Fraction  # here, so free_rank and type_vector never load it
-
-    _, net = _net_orders(gog)
-    return -sum((Fraction(c, d) for d, c in net.items()), Fraction(0))
+    return _chi(_net_orders(gog)[1])
 
 
 def type_vector(gog: GraphOfGroups) -> TypeVector:
@@ -204,21 +201,25 @@ def type_vector(gog: GraphOfGroups) -> TypeVector:
     return TypeVector(m=m, zeta=zeta)
 
 
-def free_rank(gog: GraphOfGroups) -> int:
-    """mu = 1 - m*chi = 1 + sum_d c_d*(m/d): the rank of a free subgroup of
-    index m, in integers when every d divides m, as it does on valid data.
+def _rank(m: int, net: dict[int, int]) -> int:
+    """mu = 1 - m*chi = 1 + sum_d c_d*(m/d) of the type (m, c), in integers
+    when every d divides m, as it does on valid data.
 
     Integrality and nonnegativity hold for every genuine datum; a violation
     means the order data does not come from a graph of groups.
     """
-    m, net = _net_orders(gog)
     if all(m % d == 0 for d in net):
         mu = 1 + sum(c * (m // d) for d, c in net.items())
     else:  # corrupt orders only
-        mu = 1 - m * euler_char(gog)
+        mu = 1 - m * _chi(net)
     if mu.denominator != 1 or mu < 0:
         raise NonIntegralRank(f"1 - m*chi = {mu} is not a nonnegative integer")
     return int(mu)
+
+
+def free_rank(gog: GraphOfGroups) -> int:
+    """mu = 1 - m*chi: the rank of a free subgroup of index m."""
+    return _rank(*_net_orders(gog))
 
 
 def check_edge_bound(ngog: NormalizedGog) -> bool:

@@ -62,9 +62,9 @@ def suite_convolution(seed: int, bound: int):
     bad = 0
     for _ in range(n_data):
         gog = oracle.random_gog(rng)
-        m = invariants.m_gamma(gog)
+        m, c = invariants._net_orders(gog)
         g = counting.g_series(gog, depth)
-        f = counting._f_from_g(gog, g)
+        f = counting._f(m, c, g)
         for lam in range(1, depth + 1):
             lhs = sum(g[u] * f[lam - u - 1] for u in range(lam))
             if lhs != m * lam * g[lam]:
@@ -78,7 +78,7 @@ def suite_convolution(seed: int, bound: int):
 
 
 def suite_ode(seed: int, bound: int):
-    from . import counting, invariants, oracle
+    from . import counting, oracle
 
     dihedral = build_gog({"a": 2, "b": 2}, [("s", "a", "b", 1)])
     terms = 30
@@ -87,7 +87,7 @@ def suite_ode(seed: int, bound: int):
         # g_0..g_terms makes ode_check read theta_0..theta_{terms-1} only
         th = counting.theta_coeffs(gog, terms)
         g = counting.g_series(gog, terms)
-        return counting.ode_check(g, th, invariants.m_gamma(gog))
+        return counting.ode_check(g, th, key[0])
 
     shapes = oracle.exhaustive_rank2_shapes(min(bound, 8))
     seen, bad = _per_type(chain(shapes, (dihedral, _bouquet(2))), check)
@@ -128,10 +128,9 @@ def suite_growth(seed: int, bound: int):
     def check(gog, key):
         if invariants.free_rank(gog) != 2:
             return None
-        m = invariants.m_gamma(gog)
         f = counting.f_series(gog, n + 1)
         holds = [
-            f[lam] - f[lam - 1] >= m * math.factorial(lam + 1)
+            f[lam] - f[lam - 1] >= key[0] * math.factorial(lam + 1)
             for lam in range(1, n + 1)
         ]
         if key == triple_c2:

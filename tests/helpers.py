@@ -22,11 +22,11 @@ from vfree.gog import GraphOfGroups
 from vfree.graph import spanning_tree
 from vfree.invariants import (
     TypeVector,
+    _factorize,
     divisors,
     euler_char,
     free_rank,
     m_gamma,
-    totient,
     type_vector,
 )
 from vfree.normalize import contract_edge, find_trivial_edge
@@ -105,6 +105,11 @@ def euler_char_direct(gog: GraphOfGroups) -> Fraction:
     for e in gog.graph.orientation_reps():
         chi -= Fraction(1, gog.edge_order[e])
     return chi
+
+
+def totient(n: int) -> int:
+    """Euler's totient of n >= 1, from its factorization."""
+    return math.prod(p ** (k - 1) * (p - 1) for p, k in _factorize(n).items())
 
 
 def euler_from_type(tv: TypeVector) -> Fraction:

@@ -156,6 +156,20 @@ class TestCount:
         assert len(lines[49].split()[1]) > 4300
         assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
+    def test_interrupt_ends_in_one_line(self, gog_file, capsys, monkeypatch):
+        import vfree.cli as cli
+
+        def interrupted(args):
+            raise KeyboardInterrupt
+
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        monkeypatch.setattr(cli, "cmd_count", interrupted)
+        code, out, err = run(capsys, "count", gog_file(DIHEDRAL))
+        assert (code, out) == (130, "")
+        assert len(err.splitlines()) == 1 and err.startswith("Interrupted: ")
+        assert "Traceback" not in err
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
     @pytest.mark.parametrize("text", ["", "# only a comment\n\n  # indented\n"])
     def test_empty_file_is_typed_error(self, gog_file, capsys, text):
         code, out, err = run(capsys, "count", gog_file(text))
@@ -512,7 +526,7 @@ class TestVerify:
     @pytest.mark.parametrize(
         "suite, module, name, rig, failing",
         [
-            ("convolution", counting, "_f_from_g", first_count_plus_one,
+            ("convolution", counting, "_f", first_count_plus_one,
              "convolution-identity"),
             ("parity", counting, "f_series", first_count_plus_one, "parity-"),
             ("growth", counting, "f_series", first_count_plus_one, "growth-bound"),

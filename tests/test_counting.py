@@ -22,7 +22,7 @@ from helpers import (
     triple_c2,
     type_vector_direct,
 )
-from vfree import counting
+from vfree import counting, invariants
 from vfree.counting import (
     f_series,
     f_series_rank2,
@@ -418,3 +418,43 @@ class TestGrowth:
     def test_wrong_rank(self):
         with pytest.raises(WrongRank):
             growth_check(dihedral(), 5)
+
+
+class TestOneDerivationPerCall:
+    """Each public kernel derives the type (m, c) once, and counting takes m
+    and mu from that type rather than through m_gamma or free_rank."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = {"_net_orders": 0, "m_gamma": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        net_orders = counted("_net_orders", invariants._net_orders)
+        monkeypatch.setattr(invariants, "_net_orders", net_orders)
+        monkeypatch.setattr(counting, "_net_orders", net_orders)
+        monkeypatch.setattr(invariants, "m_gamma", counted("m_gamma", invariants.m_gamma))
+        return calls
+
+    @pytest.mark.parametrize(
+        "fn, derivations",
+        [
+            (lambda gog: counting.theta_coeffs(gog, 5), 1),
+            (invariants.free_rank, 1),
+            # once in f_series itself and once in the public g_series it calls
+            (lambda gog: counting.f_series(gog, 5), 2),
+        ],
+        ids=["theta_coeffs", "free_rank", "f_series"],
+    )
+    def test_derivations(self, calls, fn, derivations):
+        fn(c2_star_c3())
+        assert calls == {"_net_orders": derivations, "m_gamma": derivations}
+
+    def test_counting_reads_neither_m_gamma_nor_free_rank(self):
+        assert not hasattr(counting, "m_gamma")
+        assert not hasattr(counting, "free_rank")

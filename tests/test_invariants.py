@@ -16,6 +16,7 @@ from helpers import (
     seeded_random_data,
     segment,
     small_gogs,
+    totient,
 )
 from vfree import invariants
 from vfree.errors import NonIntegralRank, TooLarge
@@ -30,7 +31,6 @@ from vfree.invariants import (
     euler_char,
     free_rank,
     m_gamma,
-    totient,
     type_vector,
 )
 from vfree.normalize import normalize
