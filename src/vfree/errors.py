@@ -74,8 +74,8 @@ class OrderKeysMismatch(InvalidGog):
 
 
 class BadHalfEdgePair(InvalidGog):
-    """A half-edge that is not paired name/name~ by bar, or whose pair's
-    endpoints disagree."""
+    """A half-edge whose name/name~ mate is missing, or whose origin is not
+    a vertex."""
 
     code = "BadHalfEdgePair"
 

@@ -9,9 +9,9 @@ embeddings of an edge group into its endpoint groups.
 
 Constructing a ``GraphOfGroups`` validates it: a datum that is empty,
 disconnected, has an order map whose keys are not exactly its vertices or
-half-edges, has a half-edge pair other than the ``name`` / ``name~`` pairs
-of ``graph.build_graph``, or breaks either order condition raises a
-subclass of ``InvalidGog``, whose ``offender`` is the half-edge at fault
+half-edges, has a half-edge whose ``~`` mate is missing or whose origin is
+not a vertex, or breaks either order condition raises a subclass of
+``InvalidGog``, whose ``offender`` is the half-edge at fault
 (None when no single half-edge is). Every datum in hand is therefore
 valid, and no entry point re-checks it.
 
@@ -107,9 +107,10 @@ def check_valid(gog: GraphOfGroups) -> None:
     EmptyGraph, OrderKeysMismatch, BadHalfEdgePair, EdgeOrderNotSymmetric,
     DivisibilityViolation, NotConnected. OrderKeysMismatch names the first
     missing or extra id in sorted order, vertices before half-edges.
-    BadHalfEdgePair needs each half-edge x to be paired with x~ (and x~
-    with x) by bar, to start at a vertex, and to start where its pair ends.
-    It and the two edge-order errors name the offending half-edge."""
+    BadHalfEdgePair needs each half-edge e to have its mate ``bar(e)`` in
+    the graph, with ``bar(bar(e)) == e``, and to start at a vertex; the
+    terminus then follows from the origins. It and the two edge-order
+    errors name the offending half-edge."""
     g = gog.graph
     if not g.vertices:
         raise EmptyGraph("graph has no vertices")
@@ -124,9 +125,10 @@ def check_valid(gog: GraphOfGroups) -> None:
             where = "has no order" if bad in known else "is not in the graph"
             raise OrderKeysMismatch(f"{kind} {cut(bad)} {where}")
 
+    bar = g.bar
     for e in g.half_edges:
-        mate = e[:-1] if e.endswith(BAR_SUFFIX) else e + BAR_SUFFIX
-        if mate not in half_edges or g.bar.get(e) != mate or g.bar.get(mate) != e:
+        # bar(mate) != e only for an id ending in '~~'
+        if (mate := bar(e)) not in half_edges or bar(mate) != e:
             raise BadHalfEdgePair(
                 f"half-edge {cut(e)} is not paired with {cut(mate)}", offender=e
             )
@@ -134,17 +136,12 @@ def check_valid(gog: GraphOfGroups) -> None:
             raise BadHalfEdgePair(
                 f"half-edge {cut(e)} does not start at a vertex", offender=e
             )
-        if g.terminus.get(mate) != g.origin[e]:
-            raise BadHalfEdgePair(
-                f"half-edge {cut(e)} does not start where {cut(mate)} ends",
-                offender=e,
-            )
 
     for e in g.half_edges:
-        if gog.edge_order[e] != gog.edge_order[g.bar[e]]:
+        if gog.edge_order[e] != gog.edge_order[mate := bar(e)]:
             raise EdgeOrderNotSymmetric(
                 f"order({cut(e)}) = {gog.edge_order[e]} != "
-                f"order({cut(g.bar[e])}) = {gog.edge_order[g.bar[e]]}",
+                f"order({cut(mate)}) = {gog.edge_order[mate]}",
                 offender=e,
             )
 
@@ -170,8 +167,11 @@ def build_gog(
     ``build_graph`` makes the half-edge pair name/name~ of each."""
     specs = list(edge_specs)  # read twice below
     graph = build_graph(list(vertex_orders), [spec[:3] for spec in specs])
+    # keyed by the graph's own id strings, not by new copies of each name~
+    by_name = {name: order for name, _, _, order in specs}
     edge_order = {
-        e: order for name, _, _, order in specs for e in (name, graph.bar[name])
+        e: by_name[e] if e in by_name else by_name[graph.bar(e)]
+        for e in graph.half_edges
     }
     return GraphOfGroups(graph, dict(vertex_orders), edge_order)
 

@@ -1,14 +1,15 @@
 """Half-edge graphs with reversal involution.
 
-A graph here is a pair of finite sets: vertices and directed half-edges.
-Half-edges come in pairs exchanged by a fixed-point-free involution
-(``bar``), with origin and terminus maps satisfying t(bar(e)) = o(e).
-Loops and multiple edges are allowed; a *geometric edge* is a pair
-{e, bar(e)} and an orientation selects one half-edge from each pair.
+A graph here is a pair of finite sets, vertices and directed half-edges,
+and one incidence map: the origin of each half-edge. Half-edges come in
+pairs ``name`` / ``name~``, and the reversal ``bar`` is that naming rule,
+a fixed-point-free involution on ids; the terminus is derived from it as
+t(e) = o(bar(e)). Loops and multiple edges are allowed; a *geometric
+edge* is a pair {e, bar(e)}, and its orientation representative is
+``name``, the id without '~'.
 
 ``build_graph`` makes each pair from one geometric edge (name, o, t):
-``name`` runs o -> t and ``name~`` back, so the axioms hold by construction
-and ``name`` < ``name~`` is the orientation representative.
+``name`` runs o -> t and ``name~`` back, so the axioms hold by construction.
 
 All ids are opaque strings ordered lexicographically; every traversal
 visits ids in ascending order, so spanning trees and orientations are
@@ -68,22 +69,31 @@ class Record:
 class Graph(Record):
     vertices: tuple[str, ...]
     half_edges: tuple[str, ...]
-    bar: dict[str, str]
     origin: dict[str, str]
-    terminus: dict[str, str]
+
+    @staticmethod
+    def bar(e: str) -> str:
+        """The reverse of half-edge e: ``name`` <-> ``name~``."""
+        return e[:-1] if e[-1:] == BAR_SUFFIX else e + BAR_SUFFIX
 
     def orientation_reps(self) -> tuple[str, ...]:
-        """The smaller half-edge of every geometric edge, ascending by id."""
-        return tuple(e for e in self.half_edges if e < self.bar[e])
+        """The half-edge without '~' of every geometric edge, ascending by id."""
+        return tuple(e for e in self.half_edges if e[-1:] != BAR_SUFFIX)
+
+    @cached_property
+    def terminus(self) -> dict[str, str]:
+        """half-edge -> origin of its reverse, built once.
+
+        ``cached_property`` stores the table in the instance ``__dict__``
+        directly, past ``Record.__setattr__``; like ``_adjacency`` it is
+        not a field, so equality and hashing ignore it.
+        """
+        origin, bar = self.origin, self.bar
+        return {e: origin[bar(e)] for e in self.half_edges}
 
     @cached_property
     def _adjacency(self) -> dict[str, tuple[str, ...]]:
-        """origin -> its half-edges, ascending by id, built in one pass.
-
-        ``cached_property`` stores the table in the instance ``__dict__``
-        directly, past ``Record.__setattr__``; it is not a field, so
-        equality and hashing ignore it.
-        """
+        """origin -> its half-edges, ascending by id, built in one pass."""
         out: dict[str, list[str]] = {}
         for e in self.half_edges:
             out.setdefault(self.origin[e], []).append(e)
@@ -123,30 +133,20 @@ def build_graph(
     if len(vset) != len(vertices):
         raise GogSyntaxError("duplicate vertex id")
 
-    bar: dict[str, str] = {}
     origin: dict[str, str] = {}
-    terminus: dict[str, str] = {}
     for name, o, t in edges:
         if BAR_SUFFIX in name:
             raise GogSyntaxError(f"edge id {echo(name)} contains reserved '~'")
-        if name in bar:
+        if name in origin:
             raise GogSyntaxError(f"duplicate edge {echo(name)}")
         for end, v in (("origin", o), ("terminus", t)):
             if v not in vset:
                 raise DanglingVertexRef(
                     f"edge {echo(name)} {end} {echo(v)} is not a vertex"
                 )
-        back = name + BAR_SUFFIX
-        bar[name], origin[name], terminus[name] = back, o, t
-        bar[back], origin[back], terminus[back] = name, t, o
+        origin[name], origin[name + BAR_SUFFIX] = o, t
 
-    return Graph(
-        vertices=vertices,
-        half_edges=tuple(sorted(bar)),
-        bar=bar,
-        origin=origin,
-        terminus=terminus,
-    )
+    return Graph(vertices=vertices, half_edges=tuple(sorted(origin)), origin=origin)
 
 
 def _reach(
@@ -192,8 +192,10 @@ def spanning_tree(g: Graph, root: str) -> SpanningTree:
     via = _reach(g, root)
     if len(via) != len(g.vertices):
         raise NotConnected("spanning tree requires a connected graph")
-    edges = [e for e in via.values() if e is not None]
-    tree = frozenset(edges + [g.bar[e] for e in edges])
+    # the half-edge that first reached each vertex, and its reverse, as the
+    # graph's own strings: g.bar(e) would be a new copy for the tree to hold
+    first = set(via.values())
+    tree = frozenset(e for e in g.half_edges if e in first or g.bar(e) in first)
     return SpanningTree(graph=g, tree_edges=tree, root=root)
 
 

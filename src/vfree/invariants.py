@@ -28,7 +28,7 @@ import math
 from collections import Counter
 
 from .errors import NonIntegralRank, TooLarge
-from .gog import GraphOfGroups, NormalizedGog
+from .gog import GraphOfGroups
 from .graph import Record
 
 
@@ -220,9 +220,3 @@ def _rank(m: int, net: dict[int, int]) -> int:
 def free_rank(gog: GraphOfGroups) -> int:
     """mu = 1 - m*chi: the rank of a free subgroup of index m."""
     return _rank(*_net_orders(gog))
-
-
-def check_edge_bound(ngog: NormalizedGog) -> bool:
-    """Half-edge count is at most 2*mu on normalized data (so geometric
-    edges are at most mu); a False return indicates an upstream bug."""
-    return len(ngog.gog.graph.half_edges) <= 2 * free_rank(ngog.gog)

@@ -67,7 +67,7 @@ def contract_edge(
             f"{gog.vertex_order[removed]} at {echo(removed)}"
         )
 
-    dropped = {e1, g.bar[e1]}
+    dropped = {e1, g.bar(e1)}
     home = {v: v for v in g.vertices}
     home[removed] = survivor
     kept = [e for e in g.orientation_reps() if e not in dropped]
@@ -111,7 +111,7 @@ def normalize(gog: GraphOfGroups) -> tuple[NormalizedGog, list[ContractionStep]]
             continue
         survivor = find(g.origin[e])
         merged[removed] = survivor
-        dropped.update((e, g.bar[e]))
+        dropped.update((e, g.bar(e)))
         steps.append(ContractionStep(
             contracted_edge=e, removed_vertex=removed, surviving_vertex=survivor
         ))

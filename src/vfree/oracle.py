@@ -88,14 +88,15 @@ def orientation_uniqueness(tree: SpanningTree, v0: str) -> bool:
     bijectively onto the vertices other than v0, and it must equal the
     root-directed orientation."""
     g = tree.graph
-    pairs = [(e, g.bar[e]) for e in g.orientation_reps() if e in tree.tree_edges]
+    pairs = [(e, g.bar(e)) for e in g.orientation_reps() if e in tree.tree_edges]
     if len(pairs) > MAX_ORACLE_TREE_EDGES:
         raise TooLarge(f"{len(pairs)} geometric edges > {MAX_ORACLE_TREE_EDGES}")
 
     others = set(g.vertices) - {v0}
+    terminus = g.terminus
     winners = []
     for picks in itertools.product(*pairs) if pairs else [()]:
-        termini = [g.terminus[e] for e in picks]
+        termini = [terminus[e] for e in picks]
         if len(set(termini)) == len(termini) and set(termini) == others:
             winners.append(frozenset(picks))
     return len(winners) == 1 and winners[0] == orient_from_root(tree, v0)

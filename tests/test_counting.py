@@ -22,7 +22,7 @@ from helpers import (
     triple_c2,
     type_vector_direct,
 )
-from vfree import counting, invariants
+from vfree import cli, counting, invariants
 from vfree.counting import (
     f_series,
     f_series_rank2,
@@ -454,6 +454,12 @@ class TestOneDerivationPerCall:
     def test_derivations(self, calls, fn, derivations):
         fn(c2_star_c3())
         assert calls == {"_net_orders": derivations, "m_gamma": derivations}
+
+    def test_invariants_command_derives_twice(self, calls, capsys):
+        # once in type_vector and once for chi, mu and the edge bound
+        assert cli.main(["invariants", str(INPUTS / "big.gog")]) == 0
+        assert capsys.readouterr().out.endswith("edge_bound=ok (6 <= 68)\n")
+        assert calls == {"_net_orders": 2, "m_gamma": 2}
 
     def test_counting_reads_neither_m_gamma_nor_free_rank(self):
         assert not hasattr(counting, "m_gamma")

@@ -51,7 +51,7 @@ class TestBuildGraph:
     def test_segment(self):
         g = segment_graph()
         assert g.half_edges == ("e", "e~")
-        assert g.bar == {"e": "e~", "e~": "e"}
+        assert (g.bar("e"), g.bar("e~")) == ("e~", "e")
         assert (g.origin["e"], g.terminus["e"]) == ("a", "b")
         assert (g.origin["e~"], g.terminus["e~"]) == ("b", "a")
         assert g.orientation_reps() == ("e",)
@@ -91,11 +91,12 @@ class TestBuildGraph:
         graphs = [d.graph for d in seeded_random_data(
             31, 200, max_vertices=8, max_geometric_edges=16)]
         for g in graphs:
-            assert set(g.bar) == set(g.half_edges)
+            assert set(g.terminus) == set(g.half_edges)
             for e in g.half_edges:
-                assert g.bar[e] != e
-                assert g.bar[g.bar[e]] == e
-                assert g.terminus[g.bar[e]] == g.origin[e]
+                assert g.bar(e) != e
+                assert g.bar(e) in g.origin
+                assert g.bar(g.bar(e)) == e
+                assert g.terminus[g.bar(e)] == g.origin[e]
 
 
 def assert_out_edges_match_scan(g):

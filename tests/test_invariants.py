@@ -26,7 +26,6 @@ from vfree.invariants import (
     _MR_LIMIT,
     _factorize,
     _is_prime,
-    check_edge_bound,
     divisors,
     euler_char,
     free_rank,
@@ -367,19 +366,19 @@ class TestEdgeBound:
     def test_dihedral_equality(self):
         ngog, _ = normalize(dihedral())
         assert len(ngog.gog.graph.half_edges) == 2 == 2 * free_rank(ngog.gog)
-        assert check_edge_bound(ngog)
+        assert len(ngog.gog.graph.half_edges) <= 2 * free_rank(ngog.gog)
 
     def test_free_rank_two_equality(self):
         ngog, _ = normalize(free_bouquet(2))
         assert len(ngog.gog.graph.half_edges) == 4 == 2 * free_rank(ngog.gog)
-        assert check_edge_bound(ngog)
+        assert len(ngog.gog.graph.half_edges) <= 2 * free_rank(ngog.gog)
 
     def test_hnn_loop(self):
         ngog, _ = normalize(hnn_loop(6, 3))
-        assert check_edge_bound(ngog)
+        assert len(ngog.gog.graph.half_edges) <= 2 * free_rank(ngog.gog)
 
     @given(small_gogs())
     @settings(max_examples=80, deadline=None)
     def test_holds_for_every_normalized_datum(self, gog):
         ngog, _ = normalize(gog)
-        assert check_edge_bound(ngog)
+        assert len(ngog.gog.graph.half_edges) <= 2 * free_rank(ngog.gog)

@@ -112,10 +112,22 @@ def test_contraction_step_never_equals_a_tuple():
     assert step.removed_vertex == "b"
 
 
+def test_contraction_step_repr():
+    assert repr(ContractionStep("e", "b", "a")) == (
+        "ContractionStep(contracted_edge='e', removed_vertex='b', surviving_vertex='a')"
+    )
+
+
+def test_graph_stores_the_origin_map_only():
+    assert Graph._fields == ("vertices", "half_edges", "origin")
+
+
 def test_graph_adjacency_is_outside_equality():
     used, fresh = (build_graph(["a", "b"], [("e", "a", "b")]) for _ in range(2))
     assert used.out_edges("a") == ("e",)
-    assert "_adjacency" in vars(used) and "_adjacency" not in vars(fresh)
+    assert used.terminus == {"e": "b", "e~": "a"}
+    for derived in ("_adjacency", "terminus"):
+        assert derived in vars(used) and derived not in vars(fresh)
     assert used == fresh
 
 

@@ -96,6 +96,13 @@ def test_exports_are_the_home_module_objects():
     assert got["unknown"] == "AttributeError"
 
 
+def test_dir_lists_every_export():
+    import vfree
+
+    assert set(vfree.__all__) <= set(vfree.__dir__())
+    assert len(vfree.__all__) == 19
+
+
 def test_readme_library_snippets_run():
     readme = (ROOT / "README.md").read_text()
     library = readme.split("## Library", 1)[1].split("\n## ", 1)[0]
