@@ -67,8 +67,8 @@ class EmptyGraph(InvalidGog):
 
 
 class OrderKeysMismatch(InvalidGog):
-    """The keys of an order map differ from the graph's vertices or
-    half-edges."""
+    """The keys of an order map differ from the graph's vertices or its
+    geometric edges (their ``name`` half-edges)."""
 
     code = "OrderKeysMismatch"
 
@@ -78,10 +78,6 @@ class BadHalfEdgePair(InvalidGog):
     a vertex."""
 
     code = "BadHalfEdgePair"
-
-
-class EdgeOrderNotSymmetric(InvalidGog):
-    code = "EdgeOrderNotSymmetric"
 
 
 class DivisibilityViolation(InvalidGog):

@@ -3,17 +3,20 @@
 Every quantity computed downstream (Euler characteristic, type invariants,
 free rank, counting series, classification) depends on the vertex- and
 edge-group orders alone, never on the groups themselves, so a datum is a
-half-edge graph plus two order labellings. Edge orders are constant on
-{e, bar(e)} and must divide the orders at both endpoints, mirroring the
-embeddings of an edge group into its endpoint groups.
+half-edge graph plus two order labellings. A geometric edge {e, bar(e)}
+carries one edge group, so ``edge_order`` has one entry per geometric
+edge, keyed by its orientation representative ``name``; ``order(e)``
+reads it for either half-edge. An edge order must divide the orders at
+both endpoints, mirroring the embeddings of an edge group into its
+endpoint groups.
 
 Constructing a ``GraphOfGroups`` validates it: a datum that is empty,
 disconnected, has an order map whose keys are not exactly its vertices or
-half-edges, has a half-edge whose ``~`` mate is missing or whose origin is
-not a vertex, or breaks either order condition raises a subclass of
-``InvalidGog``, whose ``offender`` is the half-edge at fault
-(None when no single half-edge is). Every datum in hand is therefore
-valid, and no entry point re-checks it.
+geometric edges, has a half-edge whose ``~`` mate is missing or whose
+origin is not a vertex, or has an edge order that does not divide an
+endpoint order raises a subclass of ``InvalidGog``, whose ``offender`` is
+the half-edge at fault (None when no single half-edge is). Every datum in
+hand is therefore valid, and no entry point re-checks it.
 
 Text format (UTF-8, line based, '#' starts a comment, blank lines ignored)::
 
@@ -37,7 +40,6 @@ from .errors import (
     BadHalfEdgePair,
     DanglingVertexRef,
     DivisibilityViolation,
-    EdgeOrderNotSymmetric,
     EmptyGraph,
     GogSyntaxError,
     NotConnected,
@@ -62,10 +64,15 @@ class GraphOfGroups(Record):
 
     graph: Graph
     vertex_order: dict[str, int]
-    edge_order: dict[str, int]
+    edge_order: dict[str, int]  # geometric edge ``name`` -> its order
 
     def __post_init__(self) -> None:
         check_valid(self)
+
+    def order(self, e: str) -> int:
+        """The order of half-edge e: that of its geometric edge."""
+        orders = self.edge_order
+        return orders[e] if e in orders else orders[self.graph.bar(e)]
 
 
 class NormalizedGog(Record):
@@ -83,7 +90,7 @@ class NormalizedGog(Record):
         if (e := find_trivial_edge(self.gog, self.tree)) is not None:
             raise NotNormalized(
                 f"tree half-edge {echo(e)} has edge order "
-                f"{self.gog.edge_order[e]} >= terminus order"
+                f"{self.gog.order(e)} >= terminus order"
             )
 
 
@@ -92,7 +99,7 @@ def _trivial_edges(gog: GraphOfGroups, tree: SpanningTree) -> Iterator[str]:
     least) the order at their terminus, in ascending id order."""
     g = gog.graph
     for e in sorted(tree.tree_edges):
-        if gog.edge_order[e] == gog.vertex_order[g.terminus[e]]:
+        if gog.order(e) == gog.vertex_order[g.terminus[e]]:
             yield e
 
 
@@ -104,28 +111,29 @@ def find_trivial_edge(gog: GraphOfGroups, tree: SpanningTree) -> str | None:
 
 def check_valid(gog: GraphOfGroups) -> None:
     """Raise the error of the first violated condition, checked in order:
-    EmptyGraph, OrderKeysMismatch, BadHalfEdgePair, EdgeOrderNotSymmetric,
-    DivisibilityViolation, NotConnected. OrderKeysMismatch names the first
-    missing or extra id in sorted order, vertices before half-edges.
-    BadHalfEdgePair needs each half-edge e to have its mate ``bar(e)`` in
-    the graph, with ``bar(bar(e)) == e``, and to start at a vertex; the
-    terminus then follows from the origins. It and the two edge-order
-    errors name the offending half-edge."""
+    EmptyGraph, OrderKeysMismatch, BadHalfEdgePair, DivisibilityViolation,
+    NotConnected. The edge-order keys are the geometric edges, named by
+    ``orientation_reps``; OrderKeysMismatch names the first missing or
+    extra id in sorted order, vertices before edges. BadHalfEdgePair needs
+    each half-edge e to have its mate ``bar(e)`` in the graph, with
+    ``bar(bar(e)) == e``, and to start at a vertex; the terminus then
+    follows from the origins. It and DivisibilityViolation name the
+    offending half-edge."""
     g = gog.graph
     if not g.vertices:
         raise EmptyGraph("graph has no vertices")
 
-    vertices, half_edges = set(g.vertices), set(g.half_edges)
+    vertices, edges = set(g.vertices), g.orientation_reps()
     for kind, known, orders in (
         ("vertex", vertices, gog.vertex_order),
-        ("half-edge", half_edges, gog.edge_order),
+        ("edge", set(edges), gog.edge_order),
     ):
         if known != orders.keys():
             bad = min(known.symmetric_difference(orders))
             where = "has no order" if bad in known else "is not in the graph"
             raise OrderKeysMismatch(f"{kind} {cut(bad)} {where}")
 
-    bar = g.bar
+    bar, half_edges = g.bar, set(g.half_edges)
     for e in g.half_edges:
         # bar(mate) != e only for an id ending in '~~'
         if (mate := bar(e)) not in half_edges or bar(mate) != e:
@@ -137,15 +145,8 @@ def check_valid(gog: GraphOfGroups) -> None:
                 f"half-edge {cut(e)} does not start at a vertex", offender=e
             )
 
-    for e in g.half_edges:
-        if gog.edge_order[e] != gog.edge_order[mate := bar(e)]:
-            raise EdgeOrderNotSymmetric(
-                f"order({cut(e)}) = {gog.edge_order[e]} != "
-                f"order({cut(mate)}) = {gog.edge_order[mate]}",
-                offender=e,
-            )
-
-    for e in g.half_edges:
+    # name~ has the order and the ends of name, so checking name checks both
+    for e in edges:
         s = gog.edge_order[e]
         for v in (g.origin[e], g.terminus[e]):
             n = gog.vertex_order[v]
@@ -167,12 +168,7 @@ def build_gog(
     ``build_graph`` makes the half-edge pair name/name~ of each."""
     specs = list(edge_specs)  # read twice below
     graph = build_graph(list(vertex_orders), [spec[:3] for spec in specs])
-    # keyed by the graph's own id strings, not by new copies of each name~
-    by_name = {name: order for name, _, _, order in specs}
-    edge_order = {
-        e: by_name[e] if e in by_name else by_name[graph.bar(e)]
-        for e in graph.half_edges
-    }
+    edge_order = {name: order for name, _, _, order in specs}
     return GraphOfGroups(graph, dict(vertex_orders), edge_order)
 
 

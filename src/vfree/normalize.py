@@ -61,9 +61,9 @@ def contract_edge(
         raise NotTreeEdge(e1)
     removed = g.terminus[e1]
     survivor = g.origin[e1]
-    if gog.edge_order[e1] != gog.vertex_order[removed]:
+    if gog.order(e1) != gog.vertex_order[removed]:
         raise NotTrivial(
-            f"edge order {gog.edge_order[e1]} != order "
+            f"edge order {gog.order(e1)} != order "
             f"{gog.vertex_order[removed]} at {echo(removed)}"
         )
 
@@ -107,7 +107,7 @@ def normalize(gog: GraphOfGroups) -> tuple[NormalizedGog, list[ContractionStep]]
         if e in dropped:
             continue
         removed = find(g.terminus[e])
-        if gog.edge_order[e] != gog.vertex_order[removed]:
+        if gog.order(e) != gog.vertex_order[removed]:
             continue
         survivor = find(g.origin[e])
         merged[removed] = survivor

@@ -274,7 +274,7 @@ def trivial_tree_half_edges(gog, tree):
     g = gog.graph
     return [
         e for e in sorted(tree.tree_edges)
-        if gog.edge_order[e] == gog.vertex_order[g.terminus[e]]
+        if gog.order(e) == gog.vertex_order[g.terminus[e]]
     ]
 
 

@@ -337,6 +337,10 @@ class TestRank2Recurrences:
             f_series_rank2("iii", {"m": 6}, 3)
         with pytest.raises(MissingParam):
             f_series_rank2("i", {}, 3)
+        for c in ("i", "iv", "v"):
+            with pytest.raises(MissingParam) as exc:
+                f_series_rank2(c, {"m": 3}, 3)
+            assert str(exc.value) == f"MissingParam: class {c} requires even m, got 3"
 
 
 class TestParity:

@@ -11,7 +11,6 @@ from vfree.errors import (
     BadHalfEdgePair,
     DanglingVertexRef,
     DivisibilityViolation,
-    EdgeOrderNotSymmetric,
     EmptyGraph,
     GogSyntaxError,
     InvalidGog,
@@ -42,8 +41,15 @@ class TestParse:
     def test_dihedral(self):
         gog = parse_gog(DIHEDRAL_TEXT)
         assert gog.vertex_order == {"a": 2, "b": 2}
-        assert gog.edge_order == {"s": 1, "s~": 1}
+        assert gog.edge_order == {"s": 1}
         assert gog.graph.bar("s") == "s~"
+
+    def test_edge_order_keys_are_the_graph_names(self):
+        # one entry per geometric edge, keyed by the graph's own id string
+        gog = parse_gog(F2_TEXT)
+        assert list(map(id, sorted(gog.edge_order))) == list(
+            map(id, gog.graph.orientation_reps())
+        )
 
     def test_two_loops(self):
         gog = parse_gog(F2_TEXT)
@@ -170,7 +176,7 @@ SEGMENT = build_graph(["a", "b"], [("s", "a", "b")])
 
 class TestValidate:
     def test_ok(self):
-        gog = GraphOfGroups(SEGMENT, {"a": 2, "b": 3}, {"s": 1, "s~": 1})
+        gog = GraphOfGroups(SEGMENT, {"a": 2, "b": 3}, {"s": 1})
         assert gog == build_gog({"a": 2, "b": 3}, [("s", "a", "b", 1)])
 
     def test_divisibility_violation_reports_offender(self):
@@ -179,17 +185,13 @@ class TestValidate:
         assert exc.value.offender == "s"
         assert exc.value.message == "edge order 2 does not divide order 3 at vertex b"
         with pytest.raises(DivisibilityViolation) as exc:
-            GraphOfGroups(SEGMENT, {"a": 2, "b": 3}, {"s": 2, "s~": 2})
+            GraphOfGroups(SEGMENT, {"a": 2, "b": 3}, {"s": 2})
         assert exc.value.offender == "s"
 
     def test_hnn_datum_full_order_loop_ok(self):
-        assert build_gog({"v": 4}, [("e", "v", "v", 4)]).edge_order == {"e": 4, "e~": 4}
-
-    def test_edge_order_not_symmetric(self):
-        with pytest.raises(EdgeOrderNotSymmetric) as exc:
-            GraphOfGroups(SEGMENT, {"a": 2, "b": 2}, {"s": 1, "s~": 2})
-        assert exc.value.offender == "s"
-        assert str(exc.value) == "EdgeOrderNotSymmetric: order(s) = 1 != order(s~) = 2"
+        gog = build_gog({"v": 4}, [("e", "v", "v", 4)])
+        assert gog.edge_order == {"e": 4}
+        assert gog.order("e") == gog.order("e~") == 4
 
     def test_empty(self):
         with pytest.raises(EmptyGraph) as exc:
@@ -219,14 +221,15 @@ class TestValidate:
         [
             (build_graph(["a"], []), {}, {}, "vertex a has no order"),
             (build_graph(["a"], []), {"a": 2, "zz": 5}, {}, "vertex zz is not in the graph"),
-            (SEGMENT, {"a": 2, "b": 2}, {"s": 1}, "half-edge s~ has no order"),
-            (SEGMENT, {"a": 2, "b": 2}, {"s": 1, "s~": 1, "t": 1},
-             "half-edge t is not in the graph"),
-            # the first id in sorted order, and vertices before half-edges
+            (SEGMENT, {"a": 2, "b": 2}, {}, "edge s has no order"),
+            (SEGMENT, {"a": 2, "b": 2}, {"s": 1, "t": 1}, "edge t is not in the graph"),
+            # one order per geometric edge: the reverse half-edge has no key
+            (SEGMENT, {"a": 2, "b": 2}, {"s": 1, "s~": 1}, "edge s~ is not in the graph"),
+            # the first id in sorted order, and vertices before edges
             (SEGMENT, {"b": 2, "c": 2}, {}, "vertex a has no order"),
         ],
         ids=["missing-vertex", "extra-vertex", "missing-half-edge", "extra-half-edge",
-             "first-sorted"],
+             "both-halves", "first-sorted"],
     )
     def test_order_keys_mismatch(self, graph, vertex_order, edge_order, message):
         with pytest.raises(OrderKeysMismatch) as exc:
@@ -271,8 +274,9 @@ class TestHalfEdgePairs:
         ids=["mate-missing", "origin-not-vertex", "double-tilde"],
     )
     def test_one_vertex_loops(self, origin, offender, message):
+        graph = hand_built("a", origin)
         with pytest.raises(BadHalfEdgePair) as exc:
-            GraphOfGroups(hand_built("a", origin), {"a": 2}, dict.fromkeys(origin, 1))
+            GraphOfGroups(graph, {"a": 2}, dict.fromkeys(graph.orientation_reps(), 1))
         assert (exc.value.offender, exc.value.message) == (offender, message)
 
 
@@ -294,10 +298,6 @@ class TestLongIdsInMessages:
     @pytest.mark.parametrize(
         "make, error, message",
         [
-            (lambda t: GraphOfGroups(
-                build_graph(["a", "b"], [(t, "a", "b")]), {"a": 2, "b": 2}, {t: 1, t + "~": 2}
-            ), EdgeOrderNotSymmetric,
-             lambda t: f"order({shown(t)}) = 1 != order({shown(t + '~')}) = 2"),
             (lambda t: build_gog({t: 3, "b": 2}, [("s", "b", t, 2)]), DivisibilityViolation,
              lambda t: f"edge order 2 does not divide order 3 at vertex {shown(t)}"),
             # only the half-edge into the order-2 vertex is onto
@@ -313,7 +313,7 @@ class TestLongIdsInMessages:
             ), BadHalfEdgePair,
              lambda t: f"half-edge {shown(t)} is not paired with {shown(t + '~')}"),
         ],
-        ids=["not-symmetric", "divisibility", "not-normalized", "not-trivial",
+        ids=["divisibility", "not-normalized", "not-trivial",
              "order-keys", "half-edge-pair"],
     )
     def test_long_id_is_cut(self, make, error, message, length):
@@ -406,7 +406,7 @@ class TestDivisibilityInvariant:
 
         g = gog.graph
         for e in g.half_edges:
-            s = gog.edge_order[e]
+            s = gog.order(e)
             gcd = math.gcd(
                 gog.vertex_order[g.origin[e]], gog.vertex_order[g.terminus[e]]
             )

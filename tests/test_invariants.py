@@ -344,7 +344,7 @@ class TestFreeRank:
         # mutating a built datum bypasses validation: the edge order no
         # longer divides an endpoint order
         corrupt = segment(2, 1, 3)
-        corrupt.edge_order.update({"s": 4, "s~": 4})
+        corrupt.edge_order.update({"s": 4})
         with pytest.raises(NonIntegralRank):
             free_rank(corrupt)
 

@@ -125,7 +125,7 @@ class TestNormalize:
             g = ngog.gog.graph
             for e in ngog.tree.tree_edges:
                 assert (
-                    2 * ngog.gog.edge_order[e]
+                    2 * ngog.gog.order(e)
                     <= ngog.gog.vertex_order[g.terminus[e]]
                 )
 

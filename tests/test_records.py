@@ -134,7 +134,7 @@ def test_graph_adjacency_is_outside_equality():
 def test_keyword_construction_validates():
     graph = build_graph(["a", "b"], [("e", "a", "b")])
     with pytest.raises(DivisibilityViolation):
-        GraphOfGroups(graph=graph, vertex_order={"a": 2, "b": 3}, edge_order={"e": 2, "e~": 2})
+        GraphOfGroups(graph=graph, vertex_order={"a": 2, "b": 3}, edge_order={"e": 2})
     gog = build_gog({"a": 2, "b": 2}, [("e", "a", "b", 2)])
     with pytest.raises(NotNormalized):
         NormalizedGog(gog=gog, tree=spanning_tree(gog.graph, "a"))
