@@ -18,7 +18,8 @@ endpoint order raises a subclass of ``InvalidGog``, whose ``offender`` is
 the half-edge at fault (None when no single half-edge is). Every datum in
 hand is therefore valid, and no entry point re-checks it.
 
-Text format (UTF-8, line based, '#' starts a comment, blank lines ignored)::
+Text format (UTF-8; a line ends at LF, CR LF or CR only; '#' starts a
+comment; blank lines are ignored)::
 
     vertex <id> <order>
     edge <id> <origin-vertex-id> <terminus-vertex-id> <order>
@@ -32,6 +33,7 @@ most 4300 digits (``TooLarge`` otherwise).
 
 from __future__ import annotations
 
+import io
 import re
 import sys
 from collections.abc import Iterator
@@ -179,7 +181,9 @@ def parse_gog(text: str) -> GraphOfGroups:
     edge_specs: list[tuple[str, str, str, int]] = []
     edge_names: set[str] = set()
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # universal newlines, as a text-mode open reads them; str.splitlines would
+    # also break lines at \v, \f, \x1c-\x1e, \x85, U+2028 and U+2029
+    for lineno, raw in enumerate(io.StringIO(text, newline=None), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -4,15 +4,19 @@ The subgroup counter enumerates permutation actions directly and knows
 nothing about convolutions or product formulas; it is the ground truth the
 counting code is checked against where both apply (trivial vertex groups).
 Likewise the orientation checker tries all orientations of a tree rather
-than trusting the root-directed construction. Nothing here imports from
-the counting or invariants modules.
+than trusting the root-directed construction. The shape corpus is one
+table of the seven small connected shapes, read by one loop that keeps the
+least order tuple of each symmetry orbit. Nothing here imports from the
+counting or invariants modules.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
+from bisect import bisect_left
 from collections import Counter
 from collections.abc import Iterator
 
@@ -107,83 +111,45 @@ def _divisors(n: int) -> list[int]:
     return [d for d in range(1, n + 1) if n % d == 0]
 
 
+# The seven connected shapes with <= 3 vertices and <= 2 geometric edges:
+# vertex count, edge ends by vertex index (BFS tree edges first), number of
+# tree edges, and symmetries as permutations of (vertex orders, edge orders).
+_SHAPES = (
+    (1, (), 0, ()),  # a vertex
+    (1, ((0, 0),), 0, ()),  # a loop
+    (1, ((0, 0), (0, 0)), 0, ((0, 2, 1),)),  # two loops
+    (2, ((0, 1),), 1, ((1, 0, 2),)),  # a segment
+    (2, ((0, 1), (1, 1)), 1, ()),  # a segment, a loop at its end
+    (2, ((0, 1), (0, 1)), 1, ((1, 0, 2, 3), (0, 1, 3, 2), (1, 0, 3, 2))),  # parallel
+    (3, ((0, 1), (1, 2)), 2, ((2, 1, 0, 4, 3),)),  # a path
+)
+
+
 def _shape_data(order_bound: int):
-    """Yield (vertex_orders, edge_specs) once for every normalized shape
-    with at most 3 vertices and 2 geometric edges, up to relabeling."""
-    B = order_bound
-    rng_orders = range(1, B + 1)
-
-    # single vertex, no edges
-    for n in rng_orders:
-        yield {"v1": n}, []
-
-    # single vertex, one loop (never a tree edge: any divisor order)
-    for n in rng_orders:
-        for s in _divisors(n):
-            yield {"v1": n}, [("e1", "v1", "v1", s)]
-
-    # single vertex, two loops; loops are interchangeable
-    for n in rng_orders:
-        ds = _divisors(n)
-        for s1 in ds:
-            for s2 in ds:
-                if s1 <= s2:
-                    yield {"v1": n}, [
-                        ("e1", "v1", "v1", s1),
-                        ("e2", "v1", "v1", s2),
-                    ]
-
-    # segment; endpoints are interchangeable; tree edge must be strict
-    for a in rng_orders:
-        for b in rng_orders:
-            if a > b:
-                continue
-            for s in _divisors(math.gcd(a, b)):
-                if s < a and s < b:
-                    yield {"v1": a, "v2": b}, [("e1", "v1", "v2", s)]
-
-    # segment with a loop at the second vertex; no symmetry
-    for a in rng_orders:
-        for b in rng_orders:
-            for s1 in _divisors(math.gcd(a, b)):
-                if not (s1 < a and s1 < b):
-                    continue
-                for s2 in _divisors(b):
-                    yield {"v1": a, "v2": b}, [
-                        ("e1", "v1", "v2", s1),
-                        ("e2", "v2", "v2", s2),
-                    ]
-
-    # two parallel edges; the smaller-order edge is the BFS tree edge and
-    # must be strict; endpoints and edges are interchangeable
-    for a in rng_orders:
-        for b in rng_orders:
-            if a > b:
-                continue
-            ds = _divisors(math.gcd(a, b))
-            for s1 in ds:
-                for s2 in ds:
-                    if s1 <= s2 and s1 < a and s1 < b:
-                        yield {"v1": a, "v2": b}, [
-                            ("e1", "v1", "v2", s1),
-                            ("e2", "v1", "v2", s2),
-                        ]
-
-    # path on three vertices; reversal symmetry
-    for a in rng_orders:
-        for b in rng_orders:
-            for c in rng_orders:
-                for s1 in _divisors(math.gcd(a, b)):
-                    if not (s1 < a and s1 < b):
-                        continue
-                    for s2 in _divisors(math.gcd(b, c)):
-                        if not (s2 < b and s2 < c):
-                            continue
-                        if (a, s1, b, s2, c) <= (c, s2, b, s1, a):
-                            yield {"v1": a, "v2": b, "v3": c}, [
-                                ("e1", "v1", "v2", s1),
-                                ("e2", "v2", "v3", s2),
-                            ]
+    """Yield (vertex_orders, edge_specs) once per normalized shape with <= 3
+    vertices and <= 2 geometric edges, up to relabeling: an edge's order
+    divides its ends' gcd and, on a tree edge, is below both; an order tuple
+    is kept iff it is <= its image under every symmetry (one per orbit)."""
+    orders = range(1, order_bound + 1)
+    divisors = [[], *map(_divisors, orders)]
+    for n_vertices, ends, n_tree, symmetries in _SHAPES:
+        names = [f"v{i}" for i in range(1, n_vertices + 1)]
+        edges = [(f"e{i}", names[u], names[v]) for i, (u, v) in enumerate(ends, 1)]
+        images = [operator.itemgetter(*p) for p in symmetries]
+        for vorders in itertools.product(orders, repeat=n_vertices):
+            per_edge = []
+            for i, (u, v) in enumerate(ends):
+                a, b = vorders[u], vorders[v]
+                ds = divisors[math.gcd(a, b)]
+                per_edge.append(ds[: bisect_left(ds, min(a, b))] if i < n_tree else ds)
+            for eorders in itertools.product(*per_edge):
+                t = vorders + eorders
+                for image in images:
+                    if image(t) < t:
+                        break
+                else:
+                    specs = [(*edge, s) for edge, s in zip(edges, eorders)]
+                    yield dict(zip(names, vorders)), specs
 
 
 def exhaustive_rank2_shapes(order_bound: int) -> Iterator[GraphOfGroups]:

@@ -91,6 +91,25 @@ class TestParse:
         with pytest.raises(GogSyntaxError, match="line 3"):
             parse_gog("vertex a 2\nvertex b 2\nbogus\n")
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_universal_newlines_end_a_line(self, newline):
+        text = newline.join(["vertex a 2", "vertex b 2", "edge s a b 1", ""])
+        assert parse_gog(text) == parse_gog(DIHEDRAL_TEXT)
+        message = "^SyntaxError: line 4: unknown directive 'bogus'$"
+        with pytest.raises(GogSyntaxError, match=message):
+            parse_gog(text + "bogus" + newline)
+
+    @pytest.mark.parametrize(
+        "sep", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+    )
+    def test_other_line_breaks_stay_inside_a_line(self, sep):
+        # str.splitlines breaks at these too; a comment runs on past them
+        text = f"# note{sep}more\n" + DIHEDRAL_TEXT
+        assert parse_gog(text) == parse_gog(DIHEDRAL_TEXT)
+        message = "^SyntaxError: line 3: unknown directive 'bogus'$"
+        with pytest.raises(GogSyntaxError, match=message):
+            parse_gog(f"vertex a 2\nvertex b 2  # x{sep}y\nbogus\n")
+
     @pytest.mark.parametrize(
         "order, message",
         [("1_2", "order '1_2' is not an integer"), ("-3", "order must be positive, got -3")],

@@ -1,11 +1,13 @@
+import hashlib
+import itertools
 import math
 import random
 
 import pytest
 
 from helpers import dihedral, triple_c2
-from vfree.errors import DegreeTooLarge, TooLarge
-from vfree.gog import check_valid, serialize_gog
+from vfree.errors import DegreeTooLarge, NotConnected, TooLarge
+from vfree.gog import build_gog, check_valid, serialize_gog
 from vfree.graph import spanning_tree
 from vfree.invariants import free_rank
 from vfree.normalize import normalize
@@ -95,6 +97,44 @@ class TestOrientationUniqueness:
             orientation_uniqueness(big_tree, "v01")
 
 
+def _relabeling_key(gog):
+    """The least (vertex orders, sorted (unordered ends, order) edges) over
+    all relabelings of the vertices: equal exactly for isomorphic data."""
+    g = gog.graph
+    edges = [(g.origin[e], g.terminus[e], gog.order(e)) for e in g.orientation_reps()]
+    keys = []
+    for perm in itertools.permutations(g.vertices):
+        at = {v: i for i, v in enumerate(perm)}
+        orders = tuple(gog.vertex_order[v] for v in perm)
+        ends = [(*sorted((at[u], at[v])), s) for u, v, s in edges]
+        keys.append((orders, tuple(sorted(ends))))
+    return min(keys)
+
+
+def _labelled_data(bound):
+    """Every labelled connected datum on v1..vk (k <= 3) with <= 2 geometric
+    edges and orders <= bound; each edge in one orientation, as reorienting
+    changes neither its key nor whether normalization moves it."""
+    for k in (1, 2, 3):
+        names = [f"v{i}" for i in range(1, k + 1)]
+        pairs = list(itertools.combinations_with_replacement(names, 2))
+        for n_edges in (0, 1, 2):
+            for orders, ends in itertools.product(
+                itertools.product(range(1, bound + 1), repeat=k),
+                itertools.product(pairs, repeat=n_edges),
+            ):
+                vorders = dict(zip(names, orders))
+                gcds = [math.gcd(vorders[u], vorders[v]) for u, v in ends]
+                divisors = [[d for d in range(1, n + 1) if n % d == 0] for n in gcds]
+                for eorders in itertools.product(*divisors):
+                    edges = zip(ends, eorders)
+                    specs = [(f"e{i}", *uv, s) for i, (uv, s) in enumerate(edges, 1)]
+                    try:
+                        yield build_gog(vorders, specs)
+                    except NotConnected:
+                        pass
+
+
 class TestShapeEnumeration:
     def test_includes_named_small_data(self):
         from helpers import invariant_signature
@@ -115,6 +155,18 @@ class TestShapeEnumeration:
         b = [serialize_gog(g) for g in exhaustive_rank2_shapes(6)]
         assert a == b
         assert len(a) == len(set(a))
+        # the corpus is pinned: its size at every bound, and its bytes at 8
+        counts = [sum(1 for _ in exhaustive_rank2_shapes(n)) for n in range(1, 13)]
+        assert counts == [3, 15, 37, 91, 144, 292, 392, 640, 863, 1239, 1479, 2272]
+        text = "|".join(serialize_gog(g) for g in exhaustive_rank2_shapes(8))
+        assert hashlib.sha256(text.encode()).hexdigest().startswith("c9f72c917c684ee6")
+
+    def test_complete_and_duplicate_free_up_to_relabeling(self):
+        # each normalized labelled datum has the key of exactly one corpus datum
+        corpus = [_relabeling_key(g) for g in exhaustive_rank2_shapes(4)]
+        assert len(set(corpus)) == len(corpus) == 91
+        fixed = {_relabeling_key(g) for g in _labelled_data(4) if not normalize(g)[1]}
+        assert fixed == set(corpus)
 
     def test_covers_all_small_ranks(self):
         ranks = {free_rank(g) for g in exhaustive_rank2_shapes(8)}
