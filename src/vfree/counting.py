@@ -19,8 +19,9 @@ and g is built from g_0 = 1 by the term ratio
 
 one small exact Fraction per step, derived from the orders alone. Its
 generating function G(z) satisfies an order-mu linear ODE with integer
-coefficients theta_0..theta_mu computable from the type data alone;
-ode_check confirms g against that ODE independently of the ratio above.
+coefficients theta_0..theta_mu, built from the type's terms T(j) grouped
+by k. ode_check tests the ratio above, grouped by d and never read by
+theta_coeffs, against them, and so checks g without building it.
 All arithmetic is exact; g_l is a Fraction and f_l an arbitrary-precision
 integer. Each public kernel derives the type (m, c) once, by
 ``invariants._net_orders``, and mu from it by ``invariants._rank``.
@@ -53,18 +54,14 @@ from .gog import GraphOfGroups
 from .invariants import _net_orders, _rank
 
 
-def g_series(gog: GraphOfGroups, N: int) -> list[Fraction]:
-    """g_0..g_N by the hypergeometric term ratio, exactly.
-
-    The ratio is read off the orders alone, never off theta_coeffs, so
-    that ode_check remains an independent test of the result. Independent
-    of the orientation, since edge orders agree on {e, bar(e)}.
+def _g_ratios(m: int, net: dict[int, int], N: int) -> list[tuple[int, int]]:
+    """(p_l, q_l) with g_l / g_{l-1} = p_l / q_l for l = 1..N, unreduced: the
+    one statement of the term ratio. It reads the orders, never theta, and
+    not the orientation, since edge orders agree on {e, bar(e)}.
     """
-    m, net = _net_orders(gog)
     # per order d with c_d != 0: (m/d, d^(m/d), c_d)
     steps = [(m // d, d ** (m // d), c) for d, c in net.items()]
-    g = Fraction(1)
-    out = [g]
+    out = []
     for lam in range(1, N + 1):
         num = den = 1
         for q, power, c in steps:
@@ -73,7 +70,16 @@ def g_series(gog: GraphOfGroups, N: int) -> list[Fraction]:
                 num *= block**c
             else:
                 den *= block**-c
-        g *= Fraction(num, den)
+        out.append((num, den))
+    return out
+
+
+def g_series(gog: GraphOfGroups, N: int) -> list[Fraction]:
+    """g_0..g_N, exactly: the running product of the term ratios from g_0 = 1."""
+    g = Fraction(1)
+    out = [g]
+    for p, q in _g_ratios(*_net_orders(gog), N):
+        g *= Fraction(p, q)
         out.append(g)
     return out
 
@@ -123,7 +129,7 @@ def theta_coeffs(gog: GraphOfGroups, N: int | None = None) -> tuple[int, ...]:
     T(x) = m(x+1) * prod_k (m x + k)^zeta_{gcd(m,k)}, so theta_u depends on
     T(0..u) alone. Given N, only theta_0..theta_{min(N-1, mu)} are built,
     from T(0..min(N-1, mu)); they equal that prefix of the full tuple.
-    ode_check on a g of N+1 terms reads no more than these N. N < 1 raises
+    ode_check(gog, theta, N) reads no more than these N. N < 1 raises
     ValueError.
 
     Since m*(j+1) = j*m + m, the prefactor is one more power of the k = m
@@ -173,8 +179,8 @@ def theta_coeffs(gog: GraphOfGroups, N: int | None = None) -> tuple[int, ...]:
     return tuple(theta)
 
 
-def ode_check(g: list[Fraction], theta: tuple[int, ...], m: int) -> bool:
-    """Check that g satisfies the coefficient recurrence of the ODE.
+def ode_check(gog: GraphOfGroups, theta: tuple[int, ...], N: int) -> bool:
+    """Check that the term ratios of g satisfy the recurrence of the ODE.
 
     With G(z) = sum g_l z^l, the relation
 
@@ -186,13 +192,15 @@ def ode_check(g: list[Fraction], theta: tuple[int, ...], m: int) -> bool:
 
         sum_{u=0}^{d} theta_u * l(l-1)...(l-u+1) * g_l = m (l+1) g_{l+1},
 
-    with the empty product (u = 0) equal to 1. True iff this holds for all
-    l representable in the given truncation; both sides are compared
-    cross-multiplied by the two denominators, in integers. The falling
-    factorial vanishes for u > l, so a g of n+1 terms (l <= n-1) reads only
-    theta_0..theta_{n-1}; any further coefficients are ignored.
+    with the empty product (u = 0) equal to 1. Every g_l is nonzero, so
+    dividing by g_l states the same as P(l) = m (l+1) p_{l+1} / q_{l+1}, with
+    P(l) the sum on the left and p/q the term ratio of g_series; True iff
+    P(l) * q_{l+1} == m (l+1) p_{l+1} for l = 0..N-1, in integers, and no g
+    is built. The falling factorial vanishes for u > l, so only
+    theta_0..theta_{N-1} are read; any further coefficients are ignored.
     """
-    for lam in range(len(g) - 1):
+    m, net = _net_orders(gog)
+    for lam, (p, q) in enumerate(_g_ratios(m, net, N)):
         total = 0
         falling = 1
         for u, coeff in enumerate(theta):
@@ -201,9 +209,7 @@ def ode_check(g: list[Fraction], theta: tuple[int, ...], m: int) -> bool:
             if falling == 0:
                 break
             total += coeff * falling
-        a, b = g[lam], g[lam + 1]
-        lhs = total * a.numerator * b.denominator
-        if lhs != m * (lam + 1) * b.numerator * a.denominator:
+        if total * q != m * (lam + 1) * p:
             return False
     return True
 

@@ -100,8 +100,8 @@ def orientation_uniqueness(tree: SpanningTree, v0: str) -> bool:
     terminus = g.terminus
     winners = []
     for picks in itertools.product(*pairs) if pairs else [()]:
-        termini = [terminus[e] for e in picks]
-        if len(set(termini)) == len(termini) and set(termini) == others:
+        # |picks| = |V| - 1 = |others|, so onto others means a bijection
+        if {terminus[e] for e in picks} == others:
             winners.append(frozenset(picks))
     return len(winners) == 1 and winners[0] == orient_from_root(tree, v0)
 

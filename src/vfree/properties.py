@@ -3,15 +3,16 @@
 Each suite is a generator fn(seed, bound) yielding (property, ok, detail),
 one triple per property; `bound` sizes the suite (data, terms or index).
 The checks re-derive each property from the counting series and the brute
-force oracles. theta, g and f depend on a datum only through its type
-(m, c), so the ode and growth suites stream their corpus, check the first
-datum of each type and count each datum by its type's verdict; they keep
-no datum past its check. The growth suite finds its one exception by
-comparing types with that of a C2*C2*C2 it builds, so no suite normalizes.
-They never call a predictor (the library's `growth_check`, the tests'
-`predicted_parity`), so a check never compares a helper with itself. Each
-suite imports the layers it checks, so importing SUITES, which every CLI
-run does, stays cheap.
+force oracles; the ode suite tests g's term ratio, read off the orders,
+against theta, built from T(j), and builds no g. theta, g and f depend
+on a datum only through its type (m, c), so the ode and growth suites
+stream their corpus, check the first datum of each type and count each
+datum by its type's verdict; they keep no datum past its check. The
+growth suite finds its one exception by comparing types with that of a
+C2*C2*C2 it builds, so no suite normalizes. They never call a predictor
+(the library's `growth_check`, the tests' `predicted_parity`), so a
+check never compares a helper with itself. Each suite imports the layers
+it checks, so importing SUITES, which every CLI run does, stays cheap.
 """
 
 from __future__ import annotations
@@ -65,9 +66,12 @@ def suite_convolution(seed: int, bound: int):
         m, c = invariants._net_orders(gog)
         g = counting.g_series(gog, depth)
         f = counting._f(m, c, g)
+        # the identity times Q > 0, in ints: a_u = g_u * Q
+        Q = math.lcm(*(q.denominator for q in g))
+        a = [q.numerator * (Q // q.denominator) for q in g]
         for lam in range(1, depth + 1):
-            lhs = sum(g[u] * f[lam - u - 1] for u in range(lam))
-            if lhs != m * lam * g[lam]:
+            lhs = sum(a[u] * f[lam - u - 1] for u in range(lam))
+            if lhs != m * lam * a[lam]:
                 bad += 1
                 break
     yield (
@@ -84,10 +88,8 @@ def suite_ode(seed: int, bound: int):
     terms = 30
 
     def check(gog, key):
-        # g_0..g_terms makes ode_check read theta_0..theta_{terms-1} only
-        th = counting.theta_coeffs(gog, terms)
-        g = counting.g_series(gog, terms)
-        return counting.ode_check(g, th, key[0])
+        # ode_check over `terms` ratios reads theta_0..theta_{terms-1} only
+        return counting.ode_check(gog, counting.theta_coeffs(gog, terms), terms)
 
     shapes = oracle.exhaustive_rank2_shapes(min(bound, 8))
     seen, bad = _per_type(chain(shapes, (dihedral, _bouquet(2))), check)

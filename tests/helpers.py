@@ -178,6 +178,30 @@ def same_values(g: list[Fraction], pairs: list[tuple[int, int]]) -> bool:
     )
 
 
+def ode_holds_on_g(g: list[Fraction], theta: tuple[int, ...], m: int) -> bool:
+    """The ODE recurrence checked on g itself, cross-multiplied in ints:
+
+        sum_u theta_u * l(l-1)...(l-u+1) * g_l = m (l+1) g_{l+1}
+
+    for l = 0..len(g)-2. The reference for ``ode_check``, which checks the
+    same identity divided by g_l on the term ratios and builds no g.
+    """
+    for lam in range(len(g) - 1):
+        total = 0
+        falling = 1
+        for u, coeff in enumerate(theta):
+            if u > 0:
+                falling *= lam - (u - 1)
+            if falling == 0:
+                break
+            total += coeff * falling
+        a, b = g[lam], g[lam + 1]
+        lhs = total * a.numerator * b.denominator
+        if lhs != m * (lam + 1) * b.numerator * a.denominator:
+            return False
+    return True
+
+
 def f_series_fractions(gog: GraphOfGroups, N: int) -> list[int]:
     """f_1..f_N by the convolution against g_0..g_N in Fractions.
 

@@ -434,10 +434,18 @@ def first_count_plus_one(f_series):
     return rigged
 
 
-def one_g_term_doubled(g_series):
-    def rigged(gog, N):
-        g = g_series(gog, N)
-        return g[:1] + [2 * g[1]] + g[2:]
+def one_ratio_doubled(g_ratios):
+    def rigged(*args):
+        (p, q), *rest = g_ratios(*args)
+        return [(2 * p, q), *rest]
+
+    return rigged
+
+
+def first_theta_plus_one(theta_coeffs):
+    def rigged(*args):
+        first, *rest = theta_coeffs(*args)
+        return (first + 1, *rest)
 
     return rigged
 
@@ -532,11 +540,15 @@ class TestVerify:
             ("growth", counting, "f_series", first_count_plus_one, "growth-bound"),
             ("oracle", counting, "f_series", first_count_plus_one,
              "oracle-free-rank-"),
-            ("ode", counting, "g_series", one_g_term_doubled, "ode-recurrence"),
+            ("ode", counting, "_g_ratios", one_ratio_doubled, "ode-recurrence"),
+            ("ode", counting, "theta_coeffs", first_theta_plus_one, "ode-recurrence"),
             ("oracle", oracle, "orientation_uniqueness", lambda fn: lambda *a: False,
              "oracle-orientation-uniqueness"),
         ],
-        ids=["convolution", "parity", "growth", "oracle-counts", "ode", "oracle-trees"],
+        ids=[
+            "convolution", "parity", "growth", "oracle-counts", "ode", "ode-theta",
+            "oracle-trees",
+        ],
     )
     def test_perturbed_property_fails(
         self, capsys, monkeypatch, suite, module, name, rig, failing

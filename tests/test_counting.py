@@ -13,6 +13,7 @@ from helpers import (
     free_bouquet,
     g_closed_form,
     hnn_loop,
+    ode_holds_on_g,
     predicted_parity,
     same_values,
     seeded_random_data,
@@ -200,6 +201,18 @@ def wide_shapes():
     return [gog for gog in exhaustive_rank2_shapes(8) if m_gamma(gog) >= 168]
 
 
+def ratio_plus_a_seventh(g_ratios, lam):
+    """g_ratios with the ratio g_lam / g_{lam-1} raised by 1/7."""
+
+    def rigged(*args):
+        ratios = g_ratios(*args)
+        p, q = ratios[lam - 1]
+        ratios[lam - 1] = (7 * p + q, 7 * q)
+        return ratios
+
+    return rigged
+
+
 def assert_truncation_is_prefix(gog):
     full = theta_coeffs(gog)
     for n in (1, 2, 30, len(full), len(full) + 4):
@@ -226,29 +239,26 @@ class TestTheta:
         with pytest.raises(ValueError, match=f"N >= 1, got {n}"):
             theta_coeffs(dihedral(), n)
 
-    def test_ode_check_ignores_coefficients_past_its_terms(self):
-        # g_0..g_12 reads theta_0..theta_11, index len(g) - 2 at most
+    def test_ode_check_ignores_coefficients_past_its_terms(self, monkeypatch):
+        # 12 ratios read theta_0..theta_11, index N - 1 at most
         gog = wide_shapes()[0]
-        m = m_gamma(gog)
-        g = g_series(gog, 12)
         th = theta_coeffs(gog, 12)
         junk = th + (7, -3, 10**40)
-        bad = list(g)
-        bad[5] += Fraction(1, 7)
-        assert ode_check(g, th, m) and ode_check(g, junk, m)
-        assert not ode_check(bad, th, m) and not ode_check(bad, junk, m)
+        assert ode_check(gog, th, 12) and ode_check(gog, junk, 12)
+        monkeypatch.setattr(
+            counting, "_g_ratios", ratio_plus_a_seventh(counting._g_ratios, 5)
+        )
+        assert not ode_check(gog, th, 12) and not ode_check(gog, junk, 12)
 
     def test_ode_check_needs_the_last_coefficient(self):
         # guards the ode suite's N against an off-by-one
         gog = c2_star_c3()
-        g = g_series(gog, 12)
         th = theta_coeffs(gog, 12)
-        assert ode_check(g, th, 6)
-        assert not ode_check(g, th[:-1], 6)
+        assert ode_check(gog, th, 12)
+        assert not ode_check(gog, th[:-1], 12)
         gog = wide_shapes()[0]
-        g = g_series(gog, 30)
-        assert ode_check(g, theta_coeffs(gog, 30), m_gamma(gog))
-        assert not ode_check(g, theta_coeffs(gog, 29), m_gamma(gog))
+        assert ode_check(gog, theta_coeffs(gog, 30), 30)
+        assert not ode_check(gog, theta_coeffs(gog, 29), 30)
 
     def test_rank_zero_datum_single_coefficient(self):
         assert theta_coeffs(build_gog({"v": 5}, [])) == (1,)
@@ -269,27 +279,57 @@ class TestTheta:
     @given(small_gogs())
     @settings(max_examples=40, deadline=None)
     def test_ode_recurrence_holds(self, gog):
-        th = theta_coeffs(gog)
-        g = g_series(gog, 30)
-        assert ode_check(g, th, m_gamma(gog))
+        assert ode_check(gog, theta_coeffs(gog), 30)
 
     def test_ode_check_rejects_corrupted_theta(self):
-        g = g_series(dihedral(), 10)
-        assert not ode_check(g, (1, 3), 2)
+        assert not ode_check(dihedral(), (1, 3), 10)
 
-    def test_ode_check_rejects_one_perturbed_term(self):
-        # g_series never reads theta, so ode_check must catch a wrong g
+    def test_ode_check_rejects_one_perturbed_term(self, monkeypatch):
+        # the ratio never reads theta, so ode_check must catch a wrong one
         gog = c2_star_c3()
-        g = g_series(gog, 12)
         th = theta_coeffs(gog)
-        for lam in range(len(g)):
-            bad = list(g)
-            bad[lam] += Fraction(1, 7)
-            assert not ode_check(bad, th, m_gamma(gog))
+        real = counting._g_ratios
+        for lam in range(1, 13):
+            monkeypatch.setattr(counting, "_g_ratios", ratio_plus_a_seventh(real, lam))
+            assert not ode_check(gog, th, 12)
 
     def test_ode_examples(self):
         for gog in (dihedral(), free_bouquet(2), c2_star_c3()):
-            assert ode_check(g_series(gog, 30), theta_coeffs(gog), m_gamma(gog))
+            assert ode_check(gog, theta_coeffs(gog), 30)
+
+
+def theta_1_plus_one(th):
+    return (th[0], th[1] + 1 if len(th) > 1 else 1, *th[2:])
+
+
+def assert_ratio_check_is_the_g_check(gog):
+    m = m_gamma(gog)
+    g = g_series(gog, 30)
+    th = theta_coeffs(gog, 30)
+    verdicts = []
+    for theta in (th, theta_1_plus_one(th)):
+        verdicts.append(ode_check(gog, theta, 30))
+        assert verdicts[-1] == ode_holds_on_g(g, theta, m)
+    assert verdicts == [True, False]
+
+
+class TestRatioCheckIsTheGCheck:
+    """ode_check on the term ratios against the cross-multiplied check on
+    g_0..g_30 that it replaced, with the true theta and with theta_1 + 1."""
+
+    def test_every_type_of_the_ode_corpus(self):
+        types = {}
+        for gog in [*exhaustive_rank2_shapes(8), dihedral(), free_bouquet(2)]:
+            m, c = invariants._net_orders(gog)
+            types.setdefault((m, *sorted(c.items())), gog)
+        assert len(types) == 350
+        for gog in types.values():
+            assert_ratio_check_is_the_g_check(gog)
+
+    @given(small_gogs())
+    @settings(max_examples=40, deadline=None)
+    def test_small_data(self, gog):
+        assert_ratio_check_is_the_g_check(gog)
 
 
 class TestRank2Recurrences:
@@ -449,11 +489,12 @@ class TestOneDerivationPerCall:
         "fn, derivations",
         [
             (lambda gog: counting.theta_coeffs(gog, 5), 1),
+            (lambda gog: counting.ode_check(gog, (5, 72, 36), 5), 1),
             (invariants.free_rank, 1),
             # once in f_series itself and once in the public g_series it calls
             (lambda gog: counting.f_series(gog, 5), 2),
         ],
-        ids=["theta_coeffs", "free_rank", "f_series"],
+        ids=["theta_coeffs", "ode_check", "free_rank", "f_series"],
     )
     def test_derivations(self, calls, fn, derivations):
         fn(c2_star_c3())

@@ -6,7 +6,8 @@ import random
 import pytest
 
 from helpers import dihedral, triple_c2
-from vfree.errors import DegreeTooLarge, NotConnected, TooLarge
+from vfree import oracle
+from vfree.errors import DegreeTooLarge, NonExactDivision, NotConnected, TooLarge
 from vfree.gog import build_gog, check_valid, serialize_gog
 from vfree.graph import spanning_tree
 from vfree.invariants import free_rank
@@ -44,6 +45,16 @@ class TestFreeGroupCounts:
             free_group_subgroup_counts(2, 7)
         with pytest.raises(DegreeTooLarge):
             free_group_subgroup_counts(0, 3)
+
+    def test_inexact_division_is_a_typed_error(self, monkeypatch):
+        # only the transposition (0 1) acts "transitively": its class of 3
+        # gives t_3 = 3, which 2! does not divide
+        monkeypatch.setattr(
+            oracle, "_acts_transitively", lambda perms, n: perms[0] == (1, 0, 2)
+        )
+        with pytest.raises(NonExactDivision) as exc:
+            free_group_subgroup_counts(1, 3)
+        assert str(exc.value) == "NonExactDivision: t_3 = 3 not divisible by (3-1)!"
 
 
 class TestOrientationUniqueness:

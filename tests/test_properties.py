@@ -64,7 +64,9 @@ class TestFailuresCountEveryDatum:
     def test_ode_counts_each_datum_of_a_failing_type(self, monkeypatch):
         check = counting.ode_check
         monkeypatch.setattr(
-            counting, "ode_check", lambda g, th, m: m != 6 and check(g, th, m)
+            counting,
+            "ode_check",
+            lambda gog, th, N: m_gamma(gog) != 6 and check(gog, th, N),
         )
         k = sum(m_gamma(gog) == 6 for gog in ode_corpus())
         assert k > len({type_key(gog) for gog in ode_corpus() if m_gamma(gog) == 6})
