@@ -40,7 +40,9 @@ truncated into a wrong count.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
+from itertools import accumulate
 
 from .errors import (
     MissingParam,
@@ -65,7 +67,8 @@ def _g_ratios(m: int, net: dict[int, int], N: int) -> list[tuple[int, int]]:
     for lam in range(1, N + 1):
         num = den = 1
         for q, power, c in steps:
-            block = power * math.prod(range((lam - 1) * q + 1, lam * q + 1))
+            # (lam*q)! / ((lam-1)*q)!, CPython's C product tree
+            block = power * math.perm(lam * q, q)
             if c > 0:
                 num *= block**c
             else:
@@ -130,7 +133,8 @@ def theta_coeffs(gog: GraphOfGroups, N: int | None = None) -> tuple[int, ...]:
     T(0..u) alone. Given N, only theta_0..theta_{min(N-1, mu)} are built,
     from T(0..min(N-1, mu)); they equal that prefix of the full tuple.
     ode_check(gog, theta, N) reads no more than these N. N < 1 raises
-    ValueError.
+    ValueError. T(j) is formed level by level: the k sharing an exponent e
+    are multiplied first, as prod_k (j*m + k), and raised to e once.
 
     Since m*(j+1) = j*m + m, the prefactor is one more power of the k = m
     factor. For genuine data that lifts the lone negative exponent
@@ -152,14 +156,21 @@ def theta_coeffs(gog: GraphOfGroups, N: int | None = None) -> tuple[int, ...]:
         if m % d == 0:
             exps[d - 1 :: d] = [e + c for e in exps[d - 1 :: d]]
     exps[-1] += 1
-    up = [(k, e) for k, e in enumerate(exps, 1) if e > 0]
-    down = [(k, -e) for k, e in enumerate(exps, 1) if e < 0]
+    # the k of each nonzero exponent level e, so a term takes one pow per level
+    levels: dict[int, list[int]] = {}
+    for k, e in enumerate(exps, 1):
+        if e:
+            levels.setdefault(e, []).append(k)
 
     def term(j: int) -> int | Fraction:
-        num = math.prod((j * m + k) ** e for k, e in up)
-        if not down:
-            return num
-        return Fraction(num, math.prod((j * m + k) ** e for k, e in down))
+        num = den = 1
+        for e, ks in levels.items():
+            block = math.prod(map((j * m).__add__, ks))
+            if e > 0:
+                num *= block**e
+            else:
+                den *= block**-e
+        return num if den == 1 else Fraction(num, den)
 
     # the alternating binomial sum for theta_u is the u-th forward
     # difference of the term sequence at 0, divided by u!
@@ -169,7 +180,7 @@ def theta_coeffs(gog: GraphOfGroups, N: int | None = None) -> tuple[int, ...]:
     for u in range(top + 1):
         if u:
             factorial *= u
-            work = [b - a for a, b in zip(work, work[1:])]
+            work = list(map(operator.sub, work[1:], work))
         val, rem = divmod(work[0], factorial)
         if rem:
             raise NonIntegralTheta(
@@ -198,17 +209,22 @@ def ode_check(gog: GraphOfGroups, theta: tuple[int, ...], N: int) -> bool:
     P(l) * q_{l+1} == m (l+1) p_{l+1} for l = 0..N-1, in integers, and no g
     is built. The falling factorial vanishes for u > l, so only
     theta_0..theta_{N-1} are read; any further coefficients are ignored.
+
+    P(0..N-1) is built by Newton's forward differences rather than term by
+    term: the u-th difference of P is R_u(l) = sum_{v>=u} theta_v
+    v!/(v-u)! (l)_{v-u}, so R_u(0) = u! theta_u and
+
+        R_u(l) = u! theta_u + sum_{i<l} R_{u+1}(i),   P = R_0,
+
+    one prefix sum per u, from the last coefficient read down to u = 0.
     """
     m, net = _net_orders(gog)
-    for lam, (p, q) in enumerate(_g_ratios(m, net, N)):
-        total = 0
-        falling = 1
-        for u, coeff in enumerate(theta):
-            if u > 0:
-                falling *= lam - (u - 1)
-            if falling == 0:
-                break
-            total += coeff * falling
+    # R_u is needed at l = 0..N-1-u only, and R_u = 0 for u >= len(theta)
+    top = min(len(theta), N)
+    P = [0] * (N - top)
+    for u in reversed(range(top)):
+        P = list(accumulate(P, initial=math.factorial(u) * theta[u]))
+    for lam, (total, (p, q)) in enumerate(zip(P, _g_ratios(m, net, N))):
         if total * q != m * (lam + 1) * p:
             return False
     return True

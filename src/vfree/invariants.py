@@ -4,7 +4,7 @@ All arithmetic is exact: the Euler characteristic is a Fraction, everything
 else is an integer. The invariants depend on the orders only through
 m = lcm of the vertex orders (every edge order divides it) and the net
 order multiplicities c_d = #{geometric edges of order d} - #{vertices of
-order d}, which ``_net_orders`` collapses in one pass over the datum:
+order d}, which ``_net`` collapses in one pass over the orders:
 
 * zeta_k = sum over d | k of c_d, for each divisor k of m,
 * chi = -sum over d of c_d / d, one Fraction per distinct order,
@@ -26,6 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
+from collections.abc import Iterable
 
 from .errors import NonIntegralRank, TooLarge
 from .gog import GraphOfGroups
@@ -174,12 +175,18 @@ def m_gamma(gog: GraphOfGroups) -> int:
     return math.lcm(*gog.vertex_order.values())
 
 
+def _net(vertex_orders: Iterable[int], edge_orders: Iterable[int]) -> dict[int, int]:
+    """c_d = #{geometric edges of order d} - #{vertices of order d}, with
+    the zero entries dropped, from the orders alone: one per vertex and
+    one per geometric edge."""
+    net = Counter(edge_orders)
+    net.subtract(vertex_orders)
+    return {d: c for d, c in net.items() if c}
+
+
 def _net_orders(gog: GraphOfGroups) -> tuple[int, dict[int, int]]:
-    """(m, c): m = m_gamma(gog) and c_d = #{geometric edges of order d}
-    - #{vertices of order d}, with the zero entries dropped."""
-    net = Counter(gog.edge_order[e] for e in gog.graph.orientation_reps())
-    net.subtract(gog.vertex_order.values())
-    return m_gamma(gog), {d: c for d, c in net.items() if c}
+    """(m, c): m = m_gamma(gog) and the net orders c of its orders."""
+    return m_gamma(gog), _net(gog.vertex_order.values(), gog.edge_order.values())
 
 
 def _chi(net: dict[int, int]) -> Fraction:

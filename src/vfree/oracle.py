@@ -3,7 +3,8 @@
 The subgroup counter enumerates permutation actions directly and knows
 nothing about convolutions or product formulas; it is the ground truth the
 counting code is checked against where both apply (trivial vertex groups).
-Likewise the orientation checker tries all orientations of a tree rather
+Likewise the orientation checker searches the orientations of a tree
+exhaustively, cut only where two picked half-edges share a terminus, rather
 than trusting the root-directed construction. The shape corpus is one
 table of the seven small connected shapes, read by one loop that keeps the
 least order tuple of each symmetry orbit. Nothing here imports from the
@@ -88,9 +89,15 @@ def free_group_subgroup_counts(r: int, N: int) -> list[int]:
 
 
 def orientation_uniqueness(tree: SpanningTree, v0: str) -> bool:
-    """Try all orientations of the tree; exactly one may send e -> t(e)
+    """Search the orientations of the tree; exactly one may send e -> t(e)
     bijectively onto the vertices other than v0, and it must equal the
-    root-directed orientation."""
+    root-directed orientation.
+
+    The search is exhaustive over those bijections: a depth-first walk over
+    the geometric edges, on an explicit stack, extends a partial orientation
+    by a half-edge only if its terminus is a target vertex not yet hit,
+    so every complete orientation it reaches is a bijection, and every
+    bijection is reached once."""
     g = tree.graph
     pairs = [(e, g.bar(e)) for e in g.orientation_reps() if e in tree.tree_edges]
     if len(pairs) > MAX_ORACLE_TREE_EDGES:
@@ -99,10 +106,16 @@ def orientation_uniqueness(tree: SpanningTree, v0: str) -> bool:
     others = set(g.vertices) - {v0}
     terminus = g.terminus
     winners = []
-    for picks in itertools.product(*pairs) if pairs else [()]:
-        # |picks| = |V| - 1 = |others|, so onto others means a bijection
-        if {terminus[e] for e in picks} == others:
+    # (edges oriented so far, their picks, the vertices not yet hit)
+    stack = [(0, (), others)]
+    while stack:
+        i, picks, left = stack.pop()
+        if i == len(pairs):
             winners.append(frozenset(picks))
+            continue
+        for e in pairs[i]:
+            if (t := terminus[e]) in left:
+                stack.append((i + 1, (*picks, e), left - {t}))
     return len(winners) == 1 and winners[0] == orient_from_root(tree, v0)
 
 

@@ -6,12 +6,14 @@ The checks re-derive each property from the counting series and the brute
 force oracles; the ode suite tests g's term ratio, read off the orders,
 against theta, built from T(j), and builds no g. theta, g and f depend
 on a datum only through its type (m, c), so the ode and growth suites
-stream their corpus, check the first datum of each type and count each
-datum by its type's verdict; they keep no datum past its check. The
-growth suite finds its one exception by comparing types with that of a
-C2*C2*C2 it builds, so no suite normalizes. They never call a predictor
-(the library's `growth_check`, the tests' `predicted_parity`), so a
-check never compares a helper with itself. Each suite imports the layers
+walk the rows of their shape corpus, key each row by the type read off
+its orders, build only the first datum of each type, and count each row
+by its type's verdict; they keep no datum past its check. The growth
+suite reads the rank off the key and builds rank-2 types only, and it
+finds its one exception by comparing keys with that of C2*C2*C2, so no
+suite normalizes. They never call a predictor (the library's
+`growth_check`, the tests' `predicted_parity`), so a check never
+compares a helper with itself. Each suite imports the layers
 it checks, so importing SUITES, which every CLI run does, stays cheap.
 """
 
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import math
 import random
+from functools import partial
 from itertools import chain
 
 from .gog import build_gog
@@ -26,29 +29,32 @@ from .graph import spanning_tree
 
 
 def _bouquet(r: int):
-    return build_gog({"v": 1}, [(e, "v", "v", 1) for e in "pqr"[:r]])
+    """The row (vertex_orders, edge_specs) of the free group of rank r."""
+    return ({"v": 1}, [(e, "v", "v", 1) for e in "pqr"[:r]])
 
 
-def _type_key(gog):
-    """The type (m, c) as one flat tuple (m, d, c_d, ...), ascending in d.
-    A flat tuple, not a nested one of (d, c_d) pairs, because the nested
-    keys raised the peak RSS of `verify all`."""
-    from .invariants import _net_orders
+def _row_key(vertex_orders, edge_specs):
+    """The type (m, c) of build_gog(vertex_orders, edge_specs), read off the
+    orders without building it, as one flat tuple (m, d, c_d, ...),
+    ascending in d. A flat tuple, not a nested one of (d, c_d) pairs,
+    because the nested keys raised the peak RSS of `verify all`."""
+    from .invariants import _net
 
-    m, c = _net_orders(gog)
-    return (m, *chain.from_iterable(sorted(c.items())))
+    c = _net(vertex_orders.values(), [spec[3] for spec in edge_specs])
+    return (math.lcm(*vertex_orders.values()), *chain.from_iterable(sorted(c.items())))
 
 
-def _per_type(data, check):
-    """(data seen, data whose type failed), in one walk over data. check(gog,
-    key) runs on the first datum of each type key and only its verdict is
-    kept; a datum whose type's verdict is None is not seen."""
+def _per_type(rows, check):
+    """(rows seen, rows whose type failed), in one walk over rows
+    (vertex_orders, edge_specs). check(key, build) runs on the first row of
+    each type key, where build() builds that row's datum, and only its
+    verdict is kept; a row whose type's verdict is None is not seen."""
     verdicts: dict = {}
     seen = bad = 0
-    for gog in data:
-        key = _type_key(gog)
+    for row in rows:
+        key = _row_key(*row)
         if key not in verdicts:
-            verdicts[key] = check(gog, key)
+            verdicts[key] = check(key, partial(build_gog, *row))
         seen += verdicts[key] is not None
         bad += verdicts[key] is False
     return seen, bad
@@ -84,17 +90,18 @@ def suite_convolution(seed: int, bound: int):
 def suite_ode(seed: int, bound: int):
     from . import counting, oracle
 
-    dihedral = build_gog({"a": 2, "b": 2}, [("s", "a", "b", 1)])
+    dihedral = ({"a": 2, "b": 2}, [("s", "a", "b", 1)])
     terms = 30
 
-    def check(gog, key):
+    def check(key, build):
+        gog = build()
         # ode_check over `terms` ratios reads theta_0..theta_{terms-1} only
         return counting.ode_check(gog, counting.theta_coeffs(gog, terms), terms)
 
-    shapes = oracle.exhaustive_rank2_shapes(min(bound, 8))
-    seen, bad = _per_type(chain(shapes, (dihedral, _bouquet(2))), check)
+    rows = chain(oracle._shape_data(min(bound, 8)), (dihedral, _bouquet(2)))
+    seen, bad = _per_type(rows, check)
     yield (f"ode-recurrence ({seen} data, {terms} terms)", bad == 0, f"{bad} failures")
-    th = counting.theta_coeffs(dihedral)
+    th = counting.theta_coeffs(build_gog(*dihedral))
     yield ("ode-dihedral-coefficients (1, 2)", th == (1, 2), f"got {th}")
 
 
@@ -121,16 +128,16 @@ def suite_growth(seed: int, bound: int):
     from . import counting, invariants, oracle
 
     # f depends only on the type, so the exception is a type, not a shape
-    triple_c2 = _type_key(
-        build_gog({"a": 2, "b": 2, "c": 2}, [("s", "a", "b", 1), ("t", "b", "c", 1)])
+    triple_c2 = _row_key(
+        {"a": 2, "b": 2, "c": 2}, [("s", "a", "b", 1), ("t", "b", "c", 1)]
     )
     n = bound
     exceptional = []
 
-    def check(gog, key):
-        if invariants.free_rank(gog) != 2:
+    def check(key, build):
+        if invariants._rank(key[0], dict(zip(key[1::2], key[2::2]))) != 2:
             return None
-        f = counting.f_series(gog, n + 1)
+        f = counting.f_series(build(), n + 1)
         holds = [
             f[lam] - f[lam - 1] >= key[0] * math.factorial(lam + 1)
             for lam in range(1, n + 1)
@@ -141,7 +148,7 @@ def suite_growth(seed: int, bound: int):
             return not holds[0] and all(holds[1:])
         return all(holds)
 
-    seen, bad = _per_type(oracle.exhaustive_rank2_shapes(8), check)
+    seen, bad = _per_type(oracle._shape_data(8), check)
     yield (
         f"growth-bound ({seen} rank-2 data, lambda <= {n})",
         bad == 0 and len(exceptional) == 1,
@@ -154,7 +161,7 @@ def suite_oracle(seed: int, bound: int):
 
     for r, n in ((2, min(bound, 5)), (3, min(bound, 4))):
         expected = oracle.free_group_subgroup_counts(r, n)
-        got = counting.f_series(_bouquet(r), n)
+        got = counting.f_series(build_gog(*_bouquet(r)), n)
         yield (
             f"oracle-free-rank-{r} (index <= {n})",
             expected == got,

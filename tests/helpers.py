@@ -2,15 +2,22 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from vfree import build_gog
+from vfree import build_gog, oracle
 from vfree.classify import ClassificationReport, Label
-from vfree.counting import _rank2_inputs, f_series, f_series_rank2, g_series
+from vfree.counting import (
+    _g_ratios,
+    _rank2_inputs,
+    f_series,
+    f_series_rank2,
+    g_series,
+)
 from vfree.errors import (
     MissingParam,
     NonIntegralCount,
@@ -19,10 +26,11 @@ from vfree.errors import (
     WrongRank,
 )
 from vfree.gog import GraphOfGroups
-from vfree.graph import spanning_tree
+from vfree.graph import SpanningTree, spanning_tree
 from vfree.invariants import (
     TypeVector,
     _factorize,
+    _net_orders,
     divisors,
     euler_char,
     free_rank,
@@ -200,6 +208,47 @@ def ode_holds_on_g(g: list[Fraction], theta: tuple[int, ...], m: int) -> bool:
         if lhs != m * (lam + 1) * b.numerator * a.denominator:
             return False
     return True
+
+
+def ode_check_falling(gog: GraphOfGroups, theta: tuple[int, ...], N: int) -> bool:
+    """``ode_check`` with P(l) = sum_u theta_u * l(l-1)...(l-u+1) summed term
+    by term, the falling factorial built one factor at a time. The
+    reference for ``ode_check``, which builds P(0..N-1) by prefix sums."""
+    m, net = _net_orders(gog)
+    for lam, (p, q) in enumerate(_g_ratios(m, net, N)):
+        total = 0
+        falling = 1
+        for u, coeff in enumerate(theta):
+            if u > 0:
+                falling *= lam - (u - 1)
+            if falling == 0:
+                break
+            total += coeff * falling
+        if total * q != m * (lam + 1) * p:
+            return False
+    return True
+
+
+def orientation_winners_by_product(tree: SpanningTree, v0: str) -> list[frozenset]:
+    """Every orientation of the tree edges, by ``itertools.product``, whose
+    termini are exactly the vertices other than v0. The reference for
+    ``orientation_uniqueness``, which prunes its search at a repeated
+    terminus."""
+    g = tree.graph
+    pairs = [(e, g.bar(e)) for e in g.orientation_reps() if e in tree.tree_edges]
+    others = set(g.vertices) - {v0}
+    return [
+        frozenset(picks)
+        for picks in itertools.product(*pairs)
+        # |picks| = |V| - 1 = |others|, so onto others means a bijection
+        if {g.terminus[e] for e in picks} == others
+    ]
+
+
+def orientation_uniqueness_by_product(tree: SpanningTree, v0: str) -> bool:
+    """The verdict of ``orientation_uniqueness`` from the product search."""
+    winners = orientation_winners_by_product(tree, v0)
+    return len(winners) == 1 and winners[0] == oracle.orient_from_root(tree, v0)
 
 
 def f_series_fractions(gog: GraphOfGroups, N: int) -> list[int]:

@@ -1,4 +1,5 @@
 import math
+from collections import defaultdict
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +26,7 @@ from vfree.classify import (
 from vfree.counting import f_series, f_series_rank2
 from vfree.errors import WrongRank
 from vfree.gog import build_gog
-from vfree.invariants import divisors, euler_char, free_rank, type_vector
+from vfree.invariants import _net_orders, divisors, euler_char, free_rank, type_vector
 from vfree.normalize import normalize
 from vfree.oracle import exhaustive_rank2_shapes
 
@@ -133,6 +134,21 @@ class TestExhaustiveness:
             if rep.label in (Label.R2_III_1, Label.R2_III_2, Label.R2_III_3):
                 pairs.add((rep.params["a1"], rep.params["a2"]))
         assert pairs == {(2, 3), (3, 3), (2, 4)}
+
+    def test_classes_i_and_iv_share_a_type_at_every_even_m(self):
+        # f depends only on the type (m, c), so it cannot tell I from IV;
+        # this is the only pair of labels that shares a type here
+        labels = defaultdict(set)
+        data = [gog for gog in exhaustive_rank2_shapes(12) if free_rank(gog) <= 2]
+        for gog in data:
+            m, c = _net_orders(gog)
+            labels[m, tuple(sorted(c.items()))].add(classify(normalize(gog)[0]).label)
+        assert (len(data), len(labels)) == (77, 65)
+        shared = {key: found for key, found in labels.items() if len(found) > 1}
+        assert shared == {
+            (m, ((m // 2, 1), (m, -1))): {Label.R2_I, Label.R2_IV}
+            for m in range(2, 13, 2)
+        }
 
     def test_index_equation_has_exactly_three_solutions(self):
         # a1*a2 - a1 - a2 = gcd(a1, a2) with 2 <= a1 <= a2 <= 100

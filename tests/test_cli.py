@@ -3,6 +3,7 @@ import hashlib
 import importlib.util
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -113,6 +114,16 @@ class TestValidate:
     def test_missing_file_is_usage_error(self, capsys):
         code, out, err = run(capsys, "validate", "/nonexistent/x.gog")
         assert code == 2
+
+    @pytest.mark.filterwarnings("ignore:'vfree.cli' found in sys.modules")
+    def test_module_entry_point(self, monkeypatch, capsys):
+        # `python -m vfree.cli` runs the module as __main__, in-process here
+        path = str(ROOT / "perfbench" / "inputs" / "c2c3.gog")
+        monkeypatch.setattr(sys, "argv", ["vfree", "validate", path])
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("vfree.cli", run_name="__main__")
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == "ok\n"
 
     def test_non_utf8_is_typed_error(self, tmp_path, capsys):
         path = tmp_path / "latin1.gog"

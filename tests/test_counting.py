@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     c2_star_c3,
@@ -13,6 +14,7 @@ from helpers import (
     free_bouquet,
     g_closed_form,
     hnn_loop,
+    ode_check_falling,
     ode_holds_on_g,
     predicted_parity,
     same_values,
@@ -330,6 +332,43 @@ class TestRatioCheckIsTheGCheck:
     @settings(max_examples=40, deadline=None)
     def test_small_data(self, gog):
         assert_ratio_check_is_the_g_check(gog)
+
+
+class TestPrefixSumsAreTheFallingLoop:
+    """ode_check builds P(0..N-1) by Newton prefix sums; the falling-factorial
+    loop it replaced gives the same verdict for every theta and N."""
+
+    @given(
+        small_gogs(),
+        st.lists(st.integers(-(10**6), 10**6), max_size=40),
+        st.integers(1, 35),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_arbitrary_theta(self, gog, theta, N):
+        theta = tuple(theta)
+        assert ode_check(gog, theta, N) == ode_check_falling(gog, theta, N)
+
+    @given(small_gogs(), st.integers(1, 35), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_true_theta_cut_extended_or_bumped(self, gog, N, data):
+        theta = list(theta_coeffs(gog))
+        theta = theta[: data.draw(st.integers(0, len(theta)))]
+        theta += data.draw(st.lists(st.integers(-3, 3), max_size=6))
+        if theta and data.draw(st.booleans()):
+            theta[data.draw(st.integers(0, len(theta) - 1))] += 1
+        theta = tuple(theta)
+        assert ode_check(gog, theta, N) == ode_check_falling(gog, theta, N)
+
+    def test_both_verdicts_occur(self):
+        # the true theta passes at every N; a bump at u fails exactly when u < N
+        for gog in (dihedral(), c2_star_c3(), free_bouquet(2), triple_c2()):
+            theta = theta_coeffs(gog)
+            for N in range(1, 36):
+                assert ode_check(gog, theta, N) and ode_check_falling(gog, theta, N)
+                for u in range(len(theta)):
+                    bumped = (*theta[:u], theta[u] + 1, *theta[u + 1 :])
+                    verdict = ode_check(gog, bumped, N)
+                    assert verdict == ode_check_falling(gog, bumped, N) == (u >= N)
 
 
 class TestRank2Recurrences:

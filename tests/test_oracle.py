@@ -5,11 +5,16 @@ import random
 
 import pytest
 
-from helpers import dihedral, triple_c2
+from helpers import (
+    dihedral,
+    orientation_uniqueness_by_product,
+    orientation_winners_by_product,
+    triple_c2,
+)
 from vfree import oracle
 from vfree.errors import DegreeTooLarge, NonExactDivision, NotConnected, TooLarge
 from vfree.gog import build_gog, check_valid, serialize_gog
-from vfree.graph import spanning_tree
+from vfree.graph import orient_from_root, spanning_tree
 from vfree.invariants import free_rank
 from vfree.normalize import normalize
 from vfree.oracle import (
@@ -97,6 +102,35 @@ class TestOrientationUniqueness:
             tree = spanning_tree(g, g.vertices[0])
             v0 = rng.choice(g.vertices)
             assert orientation_uniqueness(tree, v0)
+
+    def test_pruned_search_matches_the_product_search(self):
+        # the product search finds exactly the root-directed orientation for
+        # every v0, and the pruned search says so too
+        rng = random.Random(2027)
+        for _ in range(500):
+            g = random_tree_graph(rng)
+            tree = spanning_tree(g, g.vertices[0])
+            for v0 in g.vertices:
+                winners = orientation_winners_by_product(tree, v0)
+                assert winners == [orient_from_root(tree, v0)]
+                assert orientation_uniqueness(tree, v0)
+
+    def test_rigged_root_orientation(self, monkeypatch):
+        # a root-directed orientation with one edge reversed: both searches
+        # reject it, except on a one-vertex tree, which has no edge to reverse
+        def reversed_one(tree, v0):
+            picks = sorted(orient_from_root(tree, v0))
+            return frozenset([tree.graph.bar(e) for e in picks[:1]] + picks[1:])
+
+        monkeypatch.setattr(oracle, "orient_from_root", reversed_one)
+        rng = random.Random(2028)
+        for _ in range(100):
+            g = random_tree_graph(rng)
+            tree = spanning_tree(g, g.vertices[0])
+            v0 = rng.choice(g.vertices)
+            verdict = orientation_uniqueness(tree, v0)
+            assert verdict == orientation_uniqueness_by_product(tree, v0)
+            assert verdict == (len(g.vertices) == 1)
 
     def test_size_cap(self):
         from vfree.graph import build_graph

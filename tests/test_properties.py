@@ -6,11 +6,12 @@ type must count every datum of that type, so that the reported failure
 count stays the number of data.
 """
 
+import random
 import weakref
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 from helpers import dihedral, free_bouquet
-from vfree import counting, oracle, properties
+from vfree import build_gog, counting, oracle, properties
 from vfree.invariants import _net_orders, free_rank, m_gamma
 from vfree.oracle import exhaustive_rank2_shapes
 
@@ -38,6 +39,39 @@ def growth_corpus():
 def only(results, prefix):
     [(ok, detail)] = [(ok, d) for prop, ok, d in results if prop.startswith(prefix)]
     return ok, detail
+
+
+def flat_key(gog):
+    m, c = _net_orders(gog)
+    return (m, *(x for item in sorted(c.items()) for x in item))
+
+
+class TestRowKey:
+    """The suites key a row by its orders, before any datum is built; the key
+    must be that of the datum the row builds."""
+
+    def test_every_row_of_the_order8_corpus(self):
+        rows = list(oracle._shape_data(8))
+        assert len(rows) == 640
+        for row in rows:
+            assert properties._row_key(*row) == flat_key(build_gog(*row))
+
+    def test_random_data(self):
+        rng = random.Random(27)
+        for _ in range(200):
+            gog = oracle.random_gog(rng)
+            g = gog.graph
+            specs = [
+                (e, g.origin[e], g.terminus[e], gog.edge_order[e])
+                for e in g.orientation_reps()
+            ]
+            key = properties._row_key(gog.vertex_order, specs)
+            assert key == flat_key(gog) == flat_key(build_gog(gog.vertex_order, specs))
+            # c again, counted from the half-edges, two per geometric edge
+            net = Counter(gog.order(e) for e in g.half_edges)
+            net = Counter({d: k // 2 for d, k in net.items()})
+            net.subtract(gog.vertex_order.values())
+            assert _net_orders(gog)[1] == {d: k for d, k in net.items() if k}
 
 
 class TestSameTypeSameSeries:
@@ -90,11 +124,11 @@ class TestFailuresCountEveryDatum:
 
 class TestStreaming:
     def test_no_corpus_datum_outlives_its_check(self, monkeypatch):
-        # each build counts the earlier corpus data still alive; a suite
-        # that held its corpus would count up to 639 of them
+        # each build counts the earlier data still alive; a suite that held
+        # its data would count up to 350 of them
         refs = []
         alive = []
-        build = oracle.build_gog
+        build = properties.build_gog
 
         def tracked(*args):
             alive.append(sum(ref() is not None for ref in refs))
@@ -102,10 +136,15 @@ class TestStreaming:
             refs.append(weakref.ref(gog))
             return gog
 
-        monkeypatch.setattr(oracle, "build_gog", tracked)
-        for suite, bound in ((properties.suite_ode, 8), (properties.suite_growth, 25)):
+        monkeypatch.setattr(properties, "build_gog", tracked)
+        # ode: one datum per type of its 642 rows, plus the dihedral whose
+        # coefficients it checks; growth: one per rank-2 type of its 640
+        for suite, bound, builds in (
+            (properties.suite_ode, 8, 350 + 1),
+            (properties.suite_growth, 25, 22),
+        ):
             refs.clear()
             alive.clear()
             assert all(ok for _, ok, _ in suite(0, bound))
-            assert len(refs) == 640
+            assert len(refs) == builds
             assert max(alive) <= 2
