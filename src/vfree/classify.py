@@ -7,49 +7,65 @@ two finite groups over an index-2 subgroup (segment). Rank 2 splits into
 five classes, realized by the normalized shapes: single loop of index 2;
 two loops filling the vertex group; segment with index pair {2,3}, {3,3},
 or {2,4}; segment glued to an index-1 loop; and a path of three groups of
-equal order amalgamated over index-2 subgroups.
-
-A sixth rank-2 shape exists: two parallel edges, forced to have equal
-vertex orders m, tree-edge order m/2, and second edge order m. Its
-fundamental group is an HNN extension over the base group of either
-vertex with index-2 associated subgroups - eliminating the order-m edge
-identifies the two vertex groups - so it is reported as the loop class
-with the same parameters.
+equal order amalgamated over index-2 subgroups. Each shape forces its
+indices, so ``_PATTERNS`` is one table from index pattern to class.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from enum import Enum
 
 from .errors import UnclassifiableShape
 from .gog import NormalizedGog
 from .graph import Record
-from .invariants import euler_char, free_rank, m_gamma
+from .invariants import _net_orders, _rank, euler_char, free_rank
 
 
 class Label(Enum):
-    """A structural class, with its output line and recurrence family.
+    """A structural class, with its output line, recurrence family and params.
 
     ``line`` is the class's ``vfree classify`` line, a format string filled
     from the report's params; ``family`` names the class's recurrence in
-    ``counting.f_series_rank2`` ("i"-"v", None outside rank 2).
+    ``counting.f_series_rank2`` ("i"-"v", None outside rank 2); ``params``
+    names the report's params, in order.
     """
 
-    FINITE = ("rank=0 class=FINITE m={m}", None)
-    R1_I = ("rank=1 class=I m={m}", None)
-    R1_II = ("rank=1 class=II m={m} |S|={S}", None)
-    R2_I = ("rank=2 class=I m={m} |S|={S} index={index}", "i")
-    R2_II = ("rank=2 class=II m={m}", "ii")
-    R2_III_1 = ("rank=2 class=III_1 a=({a1},{a2}) |S|={S}", "iii")
-    R2_III_2 = ("rank=2 class=III_2 a=({a1},{a2}) |S|={S}", "iii")
-    R2_III_3 = ("rank=2 class=III_3 a=({a1},{a2}) |S|={S}", "iii")
-    R2_IV = ("rank=2 class=IV m={m} |S1|={S1} |S2|={S2}", "iv")
-    R2_V = ("rank=2 class=V m={m} |S1|={S1} |S2|={S2}", "v")
-    HIGHER = ("rank={mu} class=HIGHER m={m}", None)
+    FINITE = ("rank=0 class=FINITE m={m}", None, "m")
+    R1_I = ("rank=1 class=I m={m}", None, "m")
+    R1_II = ("rank=1 class=II m={m} |S|={S}", None, "m S a1 a2")
+    R2_I = ("rank=2 class=I m={m} |S|={S} index={index}", "i", "m S index")
+    R2_II = ("rank=2 class=II m={m}", "ii", "m")
+    R2_III_1 = ("rank=2 class=III_1 a=({a1},{a2}) |S|={S}", "iii", "m S a1 a2")
+    R2_III_2 = ("rank=2 class=III_2 a=({a1},{a2}) |S|={S}", "iii", "m S a1 a2")
+    R2_III_3 = ("rank=2 class=III_3 a=({a1},{a2}) |S|={S}", "iii", "m S a1 a2")
+    R2_IV = ("rank=2 class=IV m={m} |S1|={S1} |S2|={S2}", "iv", "m S1 S2")
+    R2_V = ("rank=2 class=V m={m} |S1|={S1} |S2|={S2}", "v", "m S1 S2")
+    HIGHER = ("rank={mu} class=HIGHER m={m}", None, "m mu")
 
-    def __init__(self, line: str, family: str | None):
+    def __init__(self, line: str, family: str | None, params: str):
         self.line = line
         self.family = family
+        self.params = tuple(params.split())
+
+
+# (vertex count, sorted m/|G_v|, sorted (is-loop, m/|G_e|)) -> class, for
+# the normalized data of rank <= 2. R2_I has two rows: the index-2 loop, and
+# parallel edges of orders m/2 and m, whose order-m edge identifies the two
+# vertex groups and leaves an HNN extension with index-2 associated subgroups
+_PATTERNS = {
+    (1, (1,), ()): Label.FINITE,
+    (1, (1,), ((True, 1),)): Label.R1_I,
+    (2, (1, 1), ((False, 2),)): Label.R1_II,
+    (1, (1,), ((True, 2),)): Label.R2_I,
+    (2, (1, 1), ((False, 1), (False, 2))): Label.R2_I,
+    (1, (1,), ((True, 1), (True, 1))): Label.R2_II,
+    (2, (2, 3), ((False, 6),)): Label.R2_III_1,
+    (2, (1, 1), ((False, 3),)): Label.R2_III_2,
+    (2, (1, 2), ((False, 4),)): Label.R2_III_3,
+    (2, (1, 1), ((False, 2), (True, 1))): Label.R2_IV,
+    (3, (1, 1, 1), ((False, 2), (False, 2))): Label.R2_V,
+}
 
 
 class ClassificationReport(Record):
@@ -70,141 +86,60 @@ class LargenessReport(Record):
 
 
 def classify(ngog: NormalizedGog) -> ClassificationReport:
-    """Classify a normalized datum by rank and shape.
+    """Classify a normalized datum by rank and index pattern.
 
-    UnclassifiableShape signals an implementation bug: normalized data of
-    rank at most 2 always match one of the listed shapes.
+    The params are read off the witness edges: S = S1 = |G_e1| for the
+    first, e1; S2 is the order of the last; (a1, a2) are the sorted orders
+    of e1's ends divided by S; and index = a1. UnclassifiableShape signals
+    an implementation bug: normalized data of rank at most 2 always have a
+    row in ``_PATTERNS``.
     """
     gog = ngog.gog
     g = gog.graph
-    mu = free_rank(gog)
-    m = m_gamma(gog)
-
-    def report(label: Label, params: dict[str, int], witness: tuple[str, ...]):
-        return ClassificationReport(rank=mu, label=label, params=params, witness=witness)
-
-    def fail(why: str):
-        return UnclassifiableShape(f"rank {mu}: {why}")
-
-    n_vertices = len(g.vertices)
-    geom = g.orientation_reps()
-
+    m, net = _net_orders(gog)
+    mu = _rank(m, net)
     if mu >= 3:
-        return report(Label.HIGHER, {"m": m, "mu": mu}, ())
+        return ClassificationReport(mu, Label.HIGHER, {"m": m, "mu": mu}, ())
 
-    if mu == 0:
-        if n_vertices == 1 and not geom:
-            v = g.vertices[0]
-            return report(Label.FINITE, {"m": m}, (v,))
-        raise fail("rank-0 datum is not a bare vertex")
+    pattern = (
+        len(g.vertices),
+        tuple(sorted(m // n for n in gog.vertex_order.values())),
+        tuple(sorted((g.is_loop(e), m // s) for e, s in gog.edge_order.items())),
+    )
+    if (label := _PATTERNS.get(pattern)) is None:
+        raise UnclassifiableShape(f"rank {mu}: no class has index pattern {pattern}")
+    witness, edges = _walk(ngog)
+    val = {"m": m}
+    if edges:
+        e1, last = edges[0], edges[-1]
+        s, o, t = gog.edge_order[e1], g.origin[e1], g.terminus[e1]
+        a1, a2 = sorted((gog.vertex_order[o] // s, gog.vertex_order[t] // s))
+        val.update(S=s, S1=s, S2=gog.edge_order[last], a1=a1, a2=a2, index=a1)
+    return ClassificationReport(mu, label, {p: val[p] for p in label.params}, witness)
 
-    loops = tuple(e for e in geom if g.is_loop(e))
-    segments = tuple(e for e in geom if not g.is_loop(e))
 
-    if mu == 1:
-        if n_vertices == 1 and len(loops) == 1 and not segments:
-            v = g.vertices[0]
-            e = loops[0]
-            if gog.edge_order[e] == gog.vertex_order[v]:
-                return report(Label.R1_I, {"m": m}, (v, e))
-            raise fail("loop embeddings are not onto")
-        if n_vertices == 2 and len(segments) == 1 and not loops:
-            e = segments[0]
-            s = gog.edge_order[e]
-            if all(gog.vertex_order[v] == 2 * s for v in g.vertices):
-                return report(
-                    Label.R1_II,
-                    {"m": m, "S": s, "a1": 2, "a2": 2},
-                    (g.origin[e], e, g.terminus[e]),
-                )
-            raise fail("segment indices are not (2, 2)")
-        raise fail("unexpected rank-1 shape")
-
-    # mu == 2
-    if n_vertices == 1 and len(loops) == 1 and not segments:
-        v = g.vertices[0]
-        e = loops[0]
-        s = gog.edge_order[e]
-        if gog.vertex_order[v] == 2 * s:
-            return report(Label.R2_I, {"m": m, "S": s, "index": 2}, (v, e))
-        raise fail("single loop does not have index 2")
-
-    if n_vertices == 1 and len(loops) == 2:
-        v = g.vertices[0]
-        if all(gog.edge_order[e] == gog.vertex_order[v] for e in loops):
-            return report(Label.R2_II, {"m": m}, (v,) + loops)
-        raise fail("two-loop embeddings are not onto")
-
-    if n_vertices == 2 and len(segments) == 1 and not loops:
-        e = segments[0]
-        s = gog.edge_order[e]
-        a1, a2 = sorted(gog.vertex_order[v] // s for v in g.vertices)
-        sub = {(2, 3): Label.R2_III_1, (3, 3): Label.R2_III_2, (2, 4): Label.R2_III_3}
-        if (a1, a2) in sub:
-            return report(
-                sub[(a1, a2)],
-                {"m": m, "S": s, "a1": a1, "a2": a2},
-                (g.origin[e], e, g.terminus[e]),
-            )
-        raise fail(f"segment index pair {(a1, a2)} is not {{2,3}}, {{3,3}}, {{2,4}}")
-
-    if n_vertices == 2 and len(segments) == 1 and len(loops) == 1:
-        e_seg, e_loop = segments[0], loops[0]
-        s1 = gog.edge_order[e_seg]
-        loop_v = g.origin[e_loop]
-        other = next(v for v in g.vertices if v != loop_v)
-        if (
-            gog.vertex_order[other] == 2 * s1
-            and gog.vertex_order[loop_v] == 2 * s1
-            and gog.edge_order[e_loop] == gog.vertex_order[loop_v]
-        ):
-            return report(
-                Label.R2_IV,
-                {"m": m, "S1": s1, "S2": gog.edge_order[e_loop]},
-                (other, e_seg, loop_v, e_loop),
-            )
-        raise fail("segment-plus-loop orders are not (2, 2; 1)")
-
-    if n_vertices == 2 and len(segments) == 2 and not loops:
-        tree_e = next(e for e in segments if e in ngog.tree.tree_edges)
-        par_e = next(e for e in segments if e not in ngog.tree.tree_edges)
-        s = gog.edge_order[tree_e]
-        if (
-            all(gog.vertex_order[v] == 2 * s for v in g.vertices)
-            and gog.edge_order[par_e] == 2 * s
-        ):
-            # parallel order-m edge identifies the vertex groups: an HNN
-            # extension with index-2 associated subgroups, same as a loop
-            return report(
-                Label.R2_I,
-                {"m": m, "S": s, "index": 2},
-                (g.origin[tree_e], tree_e, g.terminus[tree_e], par_e),
-            )
-        raise fail("parallel-edge orders are not (m, m; m/2, m)")
-
-    if n_vertices == 3 and len(segments) == 2 and not loops:
-        degree = {v: 0 for v in g.vertices}
-        for e in segments:
-            degree[g.origin[e]] += 1
-            degree[g.terminus[e]] += 1
-        mid = next(v for v in g.vertices if degree[v] == 2)
-        ends = tuple(v for v in g.vertices if v != mid)
-        orders = [gog.vertex_order[v] for v in g.vertices]
-        s_orders = [gog.edge_order[e] for e in segments]
-        if all(n == m for n in orders) and all(2 * s == m for s in s_orders):
-            # order the witness end-to-end
-            first = next(
-                e for e in segments if ends[0] in (g.origin[e], g.terminus[e])
-            )
-            second = next(e for e in segments if e != first)
-            return report(
-                Label.R2_V,
-                {"m": m, "S1": gog.edge_order[first], "S2": gog.edge_order[second]},
-                (ends[0], first, mid, second, ends[1]),
-            )
-        raise fail("path orders are not all m with index-2 amalgams")
-
-    raise fail("unexpected rank-2 shape")
+def _walk(ngog: NormalizedGog) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """(witness, its edges): the tree edges as a path, then the non-tree
+    edges in id order, each by its name without '~'. The path starts at a
+    tree leaf that carries no loop: with one tree edge its origin, else its
+    terminus; with more, the first in ``g.vertices`` order. With no tree
+    edge it starts at the only vertex. Rank <= 2 trees are paths."""
+    g = ngog.gog.graph
+    ends = {e: (g.origin[e], g.terminus[e]) for e in g.orientation_reps()}
+    path = {e: vw for e, vw in ends.items() if e in ngog.tree.tree_edges}
+    rest = tuple(e for e in ends if e not in path)
+    looped = {ends[e][0] for e in rest if g.is_loop(e)}
+    degree = Counter(v for vw in path.values() for v in vw)
+    starts = next(iter(path.values())) if len(path) == 1 else g.vertices
+    # with no tree edge no vertex is a leaf, and the default is the only one
+    v = next((u for u in starts if degree[u] == 1 and u not in looped), g.vertices[0])
+    witness = [v]
+    while path:
+        e = next(e for e, vw in path.items() if v in vw)
+        o, t = path.pop(e)
+        v = t if v == o else o
+        witness += (e, v)
+    return (*witness, *rest), (*witness[1::2], *rest)
 
 
 def largeness_report(ngog: NormalizedGog, N: int) -> LargenessReport:

@@ -1,5 +1,7 @@
 import math
-from collections import defaultdict
+import random
+import re
+from collections import Counter, defaultdict
 
 import pytest
 from hypothesis import given, settings
@@ -18,21 +20,53 @@ from helpers import (
     triple_c2,
 )
 from vfree.classify import (
+    _PATTERNS,
     ClassificationReport,
     Label,
     classify,
     largeness_report,
 )
 from vfree.counting import f_series, f_series_rank2
-from vfree.errors import WrongRank
+from vfree.errors import UnclassifiableShape, WrongRank
 from vfree.gog import build_gog
-from vfree.invariants import _net_orders, divisors, euler_char, free_rank, type_vector
+from vfree.invariants import (
+    _net_orders,
+    divisors,
+    euler_char,
+    free_rank,
+    m_gamma,
+    type_vector,
+)
 from vfree.normalize import normalize
-from vfree.oracle import exhaustive_rank2_shapes
+from vfree.oracle import _shape_data, exhaustive_rank2_shapes
 
 
 def classified(gog):
     return classify(normalize(gog)[0])
+
+
+def index_pattern(gog):
+    """(vertex count, sorted m/|G_v|, sorted (is-loop, m/|G_e|)) of a datum."""
+    g, m = gog.graph, m_gamma(gog)
+    edges = ((g.is_loop(e), m // gog.edge_order[e]) for e in g.orientation_reps())
+    vertex_indices = tuple(sorted(m // gog.vertex_order[v] for v in g.vertices))
+    return len(g.vertices), vertex_indices, tuple(sorted(edges))
+
+
+def relabeled(rng, vertex_orders, edge_specs):
+    """The datum with fresh vertex and edge ids, each edge reversed with
+    probability 1/2, and the vertices and specs in shuffled order."""
+    ids = rng.sample([f"{c}{i}" for c in "puvx" for i in range(9)], len(vertex_orders))
+    rename = dict(zip(vertex_orders, ids))
+    vertices = [(rename[v], n) for v, n in vertex_orders.items()]
+    specs = []
+    for _, o, t, order in edge_specs:
+        if rng.random() < 0.5:
+            o, t = t, o
+        specs.append((f"{rng.choice('efs')}{len(specs)}", rename[o], rename[t], order))
+    rng.shuffle(vertices)
+    rng.shuffle(specs)
+    return build_gog(dict(vertices), specs)
 
 
 class TestClassifyShapes:
@@ -103,12 +137,46 @@ class TestClassifyShapes:
         assert a.label is b.label
         assert a.params == b.params
 
+        rng = random.Random(28)
+        swept = 0
+        for vertex_orders, edge_specs in _shape_data(8):
+            base = classified(build_gog(vertex_orders, edge_specs))
+            if base.label is Label.HIGHER:
+                continue
+            for _ in range(4):
+                ngog = normalize(relabeled(rng, vertex_orders, edge_specs))[0]
+                rep = classify(ngog)
+                assert (rep.label, rep.params) == (base.label, base.params)
+                # the witness walks the tree path, vertex and edge in turn,
+                # then lists the other edges
+                g, w = ngog.gog.graph, rep.witness
+                n = len(g.vertices)
+                assert all(v in g.vertices for v in w[0 : 2 * n - 1 : 2])
+                for i in range(1, 2 * n - 1, 2):
+                    assert w[i] in ngog.tree.tree_edges
+                    assert {g.origin[w[i]], g.terminus[w[i]]} == {w[i - 1], w[i + 1]}
+                assert Counter(w) == Counter(g.vertices) + Counter(g.orientation_reps())
+                swept += 1
+        assert swept == 4 * 50
+
 
 class TestExhaustiveness:
     def test_no_unclassifiable_shape_up_to_rank_two(self):
-        for gog in exhaustive_rank2_shapes(12):
-            if free_rank(gog) <= 2:
-                classify(normalize(gog)[0])  # must not raise
+        labels = defaultdict(set)
+        data = [gog for gog in exhaustive_rank2_shapes(12) if free_rank(gog) <= 2]
+        for gog in data:
+            ngog = normalize(gog)[0]
+            labels[index_pattern(ngog.gog)].add(classify(ngog).label)  # no raise
+        # every row of the table is hit, and each pattern carries one label
+        assert labels == {pattern: {label} for pattern, label in _PATTERNS.items()}
+        assert (len(data), len(labels)) == (77, 11)
+
+    def test_a_missing_pattern_raises_naming_it(self, monkeypatch):
+        pattern = (2, (2, 3), ((False, 6),))
+        monkeypatch.delitem(_PATTERNS, pattern)
+        message = f"rank 2: no class has index pattern {pattern}"
+        with pytest.raises(UnclassifiableShape, match=re.escape(message)):
+            classified(c2_star_c3())
 
     def test_three_edge_shapes_are_higher_rank(self):
         triangle = build_gog(

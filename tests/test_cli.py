@@ -12,6 +12,7 @@ import pytest
 
 from helpers import free_bouquet
 from vfree import counting, oracle
+from vfree.classify import _PATTERNS
 from vfree.cli import main
 from vfree.gog import serialize_gog
 
@@ -406,14 +407,48 @@ class TestClassify:
                 "edge e a b 2\nedge f b c 2\n",
                 "rank=2 class=V m=4 |S1|=2 |S2|=2\nwitness=a,e,b,f,c\n",
             ),
+            # the witness walk on reoriented input: it starts at the tree
+            # edge's origin, at a leaf with no loop, and at the first leaf
+            (
+                "vertex a 4\nvertex b 4\nedge s b a 2\n",
+                "rank=1 class=II m=4 |S|=2\nwitness=b,s,a\n",
+            ),
+            (
+                "vertex a 2\nvertex b 2\nedge e1 b a 1\nedge e2 b b 2\n",
+                "rank=2 class=IV m=2 |S1|=1 |S2|=2\nwitness=a,e1,b,e2\n",
+            ),
+            (
+                "vertex b 4\nvertex a 4\nedge e1 b a 2\nedge e2 a b 4\n",
+                "rank=2 class=I m=4 |S|=2 index=2\nwitness=b,e1,a,e2\n",
+            ),
+            (
+                "vertex c 4\nvertex b 4\nvertex a 4\n"
+                "edge f c b 2\nedge e b a 2\n",
+                "rank=2 class=V m=4 |S1|=2 |S2|=2\nwitness=a,e,b,f,c\n",
+            ),
+            # the order-4 edge is the tree edge and is contracted, which
+            # leaves the index-2 loop
+            (
+                "vertex a 4\nvertex b 4\nedge e2 a b 2\nedge e1 b a 4\n",
+                "rank=2 class=I m=4 |S|=2 index=2\nwitness=b,e2\n",
+            ),
         ],
         ids=["finite", "r1-i", "r2-i-loop", "r2-i-double-edge", "r2-ii",
-             "r2-iii-2", "r2-iii-3", "r2-iv", "r2-v"],
+             "r2-iii-2", "r2-iii-3", "r2-iv", "r2-v", "r1-ii-reversed",
+             "r2-iv-reversed", "r2-i-double-edge-reversed", "r2-v-reversed",
+             "r2-i-contracted"],
     )
     def test_class_lines(self, gog_file, capsys, text, expected):
         code, out, _ = run(capsys, "classify", gog_file(text))
         assert code == 0
         assert out == expected
+
+    def test_missing_pattern_is_one_error_line(self, gog_file, capsys, monkeypatch):
+        monkeypatch.delitem(_PATTERNS, (2, (2, 3), ((False, 6),)))
+        code, out, err = run(capsys, "classify", gog_file(C2C3))
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith("UnclassifiableShape: rank 2:")
 
 
 class TestLargeness:
