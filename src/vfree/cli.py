@@ -82,12 +82,12 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_count(args) -> int:
-    from . import counting, invariants
+    from . import counting
 
     gog = parse_gog(_read(args.file))
     n = args.terms
     g = counting.g_series(gog, n) if args.g else None
-    f = counting._f(*invariants._net_orders(gog), g) if g else counting.f_series(gog, n)
+    f = counting.f_series(gog, n)
     for lam in range(1, n + 1):
         tail = f" {_frac(g[lam])}" if g else ""
         print(f"{lam} {f[lam - 1]}{tail}")

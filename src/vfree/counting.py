@@ -26,15 +26,32 @@ All arithmetic is exact; g_l is a Fraction and f_l an arbitrary-precision
 integer. Each public kernel derives the type (m, c) once, by
 ``invariants._net_orders``, and mu from it by ``invariants._rank``.
 
-f is solved over the D-scaled integers: with D the lcm of the reduced
-denominators of g_0..g_N and a_l = g_l * D, an int, step l computes
+f is solved on a rescaled series. Let p_l/q_l be the reduced term ratios
+and K the gcd of the p_l (K = 1 when N = 0). A prime of K divides every
+p_l, so it divides no q_l. The convolution is invariant under z -> z/K:
+with g^_u = g_u / K^u and f^_l = f_l / K^l,
 
-    D * f_l = m * l * a_l - sum_{u=1}^{l-1} a_u * f_{l-u}
+    sum_{u=0}^{l-1} g^_u * f^_{l-u} = m * l * g^_l,
+
+so f^ solves the same recurrence against g^, the running product of the
+ratios p_l / (q_l * K), whose numerators are smaller by a factor K per
+term. With D the lcm of the denominators of g^_0..g^_N and a_l = g^_l * D,
+an int, step l computes
+
+    D * f^_l = m * l * a_l - sum_{u=1}^{l-1} a_u * f^_{l-u}
 
 and divides by D, so the quadratic loop builds no Fraction and takes no
-gcd. The division is exact for every genuine datum; a remainder means
-corrupted order data, and it raises NonIntegralCount rather than being
-truncated into a wrong count.
+gcd; then f_l = f^_l * K^l.
+
+The division is exact. Suppose f_1..f_{l-1}, and so f^_1..f^_{l-1}, are
+integers. D * f^_l is then an integer by the recurrence, and D, whose
+primes are among those of the q_u, is coprime to K. If f_l is an integer, the
+denominator of f^_l divides both K^l and D, so f^_l is an integer; if f^_l
+is, so is f_l. Every f_l of a genuine datum is an integer; a remainder
+means corrupted order data, at the same l where the unscaled convolution
+first fails, and raises NonIntegralCount rather than being truncated into
+a wrong count. Both NonIntegralCount and NonPositiveCount report f_l, not
+f^_l.
 """
 
 from __future__ import annotations
@@ -88,33 +105,61 @@ def g_series(gog: GraphOfGroups, N: int) -> list[Fraction]:
 
 
 def f_series(gog: GraphOfGroups, N: int) -> list[int]:
-    """f_1..f_N, solved from the convolution against g_0..g_N.
+    """f_1..f_N, solved from the convolution against g_0..g_N rescaled by K
+    (see the module docstring); g itself is not built.
 
     Each value must come out a nonnegative integer, positive whenever the
     free rank is at least 1; a violation signals corrupted order data.
     (A rank-0 datum presents a finite group, where f_1 = 1 and every later
     count is 0.)
     """
-    return _f(*_net_orders(gog), g_series(gog, N))
+    return _f(*_net_orders(gog), N)
 
 
-def _f(m: int, net: dict[int, int], g: list[Fraction]) -> list[int]:
-    """f_1..f_N of the type (m, c) from its g = g_0..g_N, for callers that need g."""
-    N = len(g) - 1
+def _scale(ratios: list[tuple[int, int]]) -> int:
+    """K of the reduced term ratios p_l/q_l: the gcd of the p_l, coprime to
+    every q_l (see the module docstring). gcd() of no numerators, or of
+    zeros only, is 0; K is 1 there."""
+    return math.gcd(*(p for p, _ in ratios)) or 1
+
+
+def _f(m: int, net: dict[int, int], N: int) -> list[int]:
+    """f_1..f_N of the type (m, c): the D-scaled convolution on the ratios
+    reduced once and divided by K = _scale(ratios), then f_l = f^_l * K^l."""
     mu = _rank(m, net)
-    D = math.lcm(*(q.denominator for q in g))
-    a = [q.numerator * (D // q.denominator) for q in g]
-    f: list[int] = []
+    ratios = []
+    for p, q in _g_ratios(m, net, N):
+        d = math.gcd(p, q)
+        ratios.append((p // d, q // d))
+    K = _scale(ratios)
+    # g^_u = P/Q in lowest terms: each step multiplies by (p/K)/q, whose
+    # terms are coprime, cross-reduced as Fraction does but on bare ints
+    P = Q = 1
+    rescaled = [(P, Q)]
+    for p, q in ratios:
+        p //= K
+        d1, d2 = math.gcd(P, q), math.gcd(p, Q)
+        P, Q = (P // d1) * (p // d2), (Q // d2) * (q // d1)
+        rescaled.append((P, Q))
+    D = math.lcm(*(Q for _, Q in rescaled))
+    a = [P * (D // Q) for P, Q in rescaled]
+    f: list[int] = []  # f^_1..f^_N, turned into f_1..f_N in place at the end
     for lam in range(1, N + 1):
         val = m * lam * a[lam]
         for u in range(1, lam):
             val -= a[u] * f[lam - u - 1]
         n, rem = divmod(val, D)
         if rem:
-            raise NonIntegralCount(f"f_{lam} = {Fraction(val, D)} is not an integer")
+            raise NonIntegralCount(
+                f"f_{lam} = {Fraction(val, D) * K**lam} is not an integer"
+            )
         if n < 0 or (mu >= 1 and n == 0):
-            raise NonPositiveCount(f"f_{lam} = {n} with free rank {mu}")
+            raise NonPositiveCount(f"f_{lam} = {n * K**lam} with free rank {mu}")
         f.append(n)
+    scale = 1
+    for i in range(N):
+        scale *= K
+        f[i] *= scale
     return f
 
 

@@ -71,7 +71,7 @@ def suite_convolution(seed: int, bound: int):
         gog = oracle.random_gog(rng)
         m, c = invariants._net_orders(gog)
         g = counting.g_series(gog, depth)
-        f = counting._f(m, c, g)
+        f = counting._f(m, c, depth)
         # the identity times Q > 0, in ints: a_u = g_u * Q
         Q = math.lcm(*(q.denominator for q in g))
         a = [q.numerator * (Q // q.denominator) for q in g]

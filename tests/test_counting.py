@@ -1,3 +1,4 @@
+import importlib
 import math
 from fractions import Fraction
 from pathlib import Path
@@ -84,6 +85,25 @@ class TestGSeries:
         assert same_values(g_series(gog, 20), g_closed_form(gog, 20))
 
 
+def reduced_ratios(gog, N):
+    """The term ratios g_l / g_{l-1}, l = 1..N, in lowest terms."""
+    ratios = counting._g_ratios(*invariants._net_orders(gog), N)
+    return [Fraction(p, q).as_integer_ratio() for p, q in ratios]
+
+
+def ratio_replaced(lam, ratio):
+    """_g_ratios with its lam-th ratio p/q replaced by ratio(p, q)."""
+    real = counting._g_ratios
+
+    def rigged(m, net, N):
+        ratios = real(m, net, N)
+        if len(ratios) >= lam:
+            ratios[lam - 1] = ratio(*ratios[lam - 1])
+        return ratios
+
+    return rigged
+
+
 class TestFSeries:
     def test_dihedral_constant_one(self):
         assert f_series(dihedral(), 50) == [1] * 50
@@ -119,17 +139,35 @@ class TestFSeries:
         ],
     )
     def test_corrupted_g_is_a_typed_error(self, monkeypatch, g2, error, message):
-        real = counting.g_series
-
-        def perturbed(gog, N):
-            g = real(gog, N)
-            g[2] = g2
-            return g
-
-        monkeypatch.setattr(counting, "g_series", perturbed)
+        # g_1 = 1, so the second term ratio is g_2 itself
+        rigged = ratio_replaced(2, lambda p, q: (g2.numerator, g2.denominator))
+        monkeypatch.setattr(counting, "_g_ratios", rigged)
         with pytest.raises(error) as exc:
             f_series(free_bouquet(2), 4)
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "lam, ratio, error",
+        [
+            # g_3 gains a prime that divides no numerator: f_3 is not an integer
+            (3, lambda p, q: (p, q * 10007), NonIntegralCount),
+            # g_2 = 0, so f_2 = -g_1 * f_1
+            (2, lambda p, q: (0, 1), NonPositiveCount),
+        ],
+        ids=["non-integral", "non-positive"],
+    )
+    def test_corrupted_ratio_reports_the_unscaled_f(
+        self, monkeypatch, lam, ratio, error
+    ):
+        # on BIG the rescaling K stays > 1 under either corruption, and the
+        # message must still give f_lam, not the rescaled f_lam / K^lam
+        monkeypatch.setattr(counting, "_g_ratios", ratio_replaced(lam, ratio))
+        assert counting._scale(reduced_ratios(BIG, 20)) > 1
+        with pytest.raises(error) as expected:
+            f_series_fractions(BIG, 20)
+        with pytest.raises(error) as exc:
+            f_series(BIG, 20)
+        assert str(exc.value) == str(expected.value)
 
     @given(small_gogs())
     @settings(max_examples=50, deadline=None)
@@ -195,6 +233,49 @@ class TestIntegerKernel:
         label, params = RANK2_INPUTS[name]
         gog = parse_gog((INPUTS / name).read_text(encoding="utf-8"))
         assert f_series(gog, 200) == f_series_rank2(label, params, 200)
+
+
+class TestScale:
+    """K, the base f is rescaled by: it divides every reduced numerator of
+    the term ratios, is coprime to every reduced denominator, and K^l
+    divides f_l."""
+
+    @staticmethod
+    def assert_scale(gog, N):
+        ratios = reduced_ratios(gog, N)
+        K = counting._scale(ratios)
+        assert K >= 1
+        for p, q in ratios:
+            assert p % K == 0
+            assert math.gcd(K, q) == 1
+        for lam, f in enumerate(f_series(gog, N), 1):
+            assert f % K**lam == 0
+
+    @given(small_gogs())
+    @settings(max_examples=50, deadline=None)
+    def test_small_data(self, gog):
+        self.assert_scale(gog, 20)
+
+    def test_order8_shapes(self):
+        # K is a function of the type, so each type is checked once
+        types = {}
+        for gog in exhaustive_rank2_shapes(8):
+            m, c = invariants._net_orders(gog)
+            types.setdefault((m, *sorted(c.items())), gog)
+        for gog in types.values():
+            self.assert_scale(gog, 30)
+
+    def test_big(self):
+        K = counting._scale(reduced_ratios(BIG, 100))
+        assert K == 2**38 * 3**9 * 5**7 * 7**3 * 11**2 * 13 * 17 * 19 * 23
+        assert K.bit_length() == 101
+        self.assert_scale(BIG, 100)
+
+    def test_no_ratios(self):
+        # math.gcd() of no numerators is 0; K is 1 there
+        assert counting._scale([]) == 1
+        assert f_series(BIG, 0) == []
+        assert f_series(BIG, 1) == f_series_fractions(BIG, 1)
 
 
 def wide_shapes():
@@ -521,6 +602,9 @@ class TestOneDerivationPerCall:
         net_orders = counted("_net_orders", invariants._net_orders)
         monkeypatch.setattr(invariants, "_net_orders", net_orders)
         monkeypatch.setattr(counting, "_net_orders", net_orders)
+        # the package names the function classify, so fetch its module by path
+        classify_module = importlib.import_module("vfree.classify")
+        monkeypatch.setattr(classify_module, "_net_orders", net_orders)
         monkeypatch.setattr(invariants, "m_gamma", counted("m_gamma", invariants.m_gamma))
         return calls
 
@@ -530,8 +614,7 @@ class TestOneDerivationPerCall:
             (lambda gog: counting.theta_coeffs(gog, 5), 1),
             (lambda gog: counting.ode_check(gog, (5, 72, 36), 5), 1),
             (invariants.free_rank, 1),
-            # once in f_series itself and once in the public g_series it calls
-            (lambda gog: counting.f_series(gog, 5), 2),
+            (lambda gog: counting.f_series(gog, 5), 1),
         ],
         ids=["theta_coeffs", "ode_check", "free_rank", "f_series"],
     )
@@ -543,6 +626,13 @@ class TestOneDerivationPerCall:
         # once in type_vector and once for chi, mu and the edge bound
         assert cli.main(["invariants", str(INPUTS / "big.gog")]) == 0
         assert capsys.readouterr().out.endswith("edge_bound=ok (6 <= 68)\n")
+        assert calls == {"_net_orders": 2, "m_gamma": 2}
+
+    def test_largeness_command_derives_twice(self, calls, capsys):
+        # once for chi and mu in largeness_report, and once in the f_series
+        # it calls for the f prefix
+        assert cli.main(["largeness", str(INPUTS / "big.gog")]) == 0
+        assert capsys.readouterr().out.startswith("chi_negative=true\n")
         assert calls == {"_net_orders": 2, "m_gamma": 2}
 
     def test_counting_reads_neither_m_gamma_nor_free_rank(self):
