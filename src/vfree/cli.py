@@ -1,11 +1,14 @@
 """Command-line interface over the GOG text format.
 
 Subcommands: validate, normalize, invariants, count, classify, largeness,
-verify. Output is deterministic (identical invocations are byte-identical);
-errors go to stderr as stable one-line codes. Exit codes: 0 success,
-1 validation error, 2 usage error, 3 property failure, 130 interrupted
-(Ctrl-C, one `Interrupted:` line, no traceback). Each subcommand
-imports the modules it runs, so start-up pays only for those.
+verify. Output is deterministic (identical invocations are byte-identical).
+Every subcommand's errors leave through ``main``, which prints one
+``Code: message`` line on stderr and nothing more on stdout, e.g.
+``DivisibilityViolation: edge s: order 4 does not divide order 6 at
+vertex b``. Exit codes: 0 success, 1 validation error, 2 usage error,
+3 property failure, 130 interrupted (Ctrl-C, one `Interrupted:` line, no
+traceback). Each subcommand imports the modules it runs, so start-up pays
+only for those.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import GogSyntaxError, InvalidGog, VfreeError, cut
+from .errors import GogSyntaxError, VfreeError
 from .gog import parse_gog, serialize_gog
 from .properties import SUITES
 
@@ -36,12 +39,7 @@ def _read(path: str) -> str:
 
 
 def cmd_validate(args) -> int:
-    try:
-        parse_gog(_read(args.file))
-    except InvalidGog as exc:
-        where = f" at {cut(exc.offender)}" if exc.offender else ""
-        print(f"error {exc.code}{where}: {exc.message}", file=sys.stderr)
-        return 1
+    parse_gog(_read(args.file))
     print("ok")
     return 0
 

@@ -1,7 +1,8 @@
 """Exception hierarchy with stable one-line error codes.
 
-Every error carries a ``code`` string that the CLI prints verbatim on
-stderr, so scripts can match on it without parsing prose.
+Every error carries a ``code`` string and a one-line message; the CLI
+prints ``str(error)``, ``Code: message``, as its one stderr line, so scripts
+can match on the code without parsing prose.
 """
 
 # an echoed token longer than this is cut in an error message
@@ -52,14 +53,10 @@ class GogSyntaxError(VfreeError):
 
 
 class InvalidGog(VfreeError):
-    """A datum that violates a graph-of-groups condition; ``offender`` is
-    the half-edge at fault, or None."""
+    """A datum that violates a graph-of-groups condition; the message names
+    the vertex, edge or half-edge at fault, where a single one is."""
 
     code = "InvalidGog"
-
-    def __init__(self, message: str = "", offender: str | None = None):
-        super().__init__(message)
-        self.offender = offender
 
 
 class EmptyGraph(InvalidGog):

@@ -14,9 +14,9 @@ Constructing a ``GraphOfGroups`` validates it: a datum that is empty,
 disconnected, has an order map whose keys are not exactly its vertices or
 geometric edges, has a half-edge whose ``~`` mate is missing or whose
 origin is not a vertex, or has an edge order that does not divide an
-endpoint order raises a subclass of ``InvalidGog``, whose ``offender`` is
-the half-edge at fault (None when no single half-edge is). Every datum in
-hand is therefore valid, and no entry point re-checks it.
+endpoint order raises a subclass of ``InvalidGog``, whose message names
+the vertex, edge or half-edge at fault. Every datum in hand is therefore
+valid, and no entry point re-checks it.
 
 Text format (UTF-8; a line ends at LF, CR LF or CR only; '#' starts a
 comment; blank lines are ignored)::
@@ -51,7 +51,9 @@ from .errors import (
     cut,
     echo,
 )
-from .graph import BAR_SUFFIX, Graph, Record, SpanningTree, build_graph, is_connected
+from .graph import (
+    BAR_SUFFIX, Graph, Record, SpanningTree, _reach, build_graph, is_connected,
+)
 
 # ASCII decimal digits only: int() would also take "1_2", "+1" and "٣"
 _ORDER_TEXT = re.compile(r"-?[0-9]+")
@@ -119,8 +121,10 @@ def check_valid(gog: GraphOfGroups) -> None:
     extra id in sorted order, vertices before edges. BadHalfEdgePair needs
     each half-edge e to have its mate ``bar(e)`` in the graph, with
     ``bar(bar(e)) == e``, and to start at a vertex; the terminus then
-    follows from the origins. It and DivisibilityViolation name the
-    offending half-edge."""
+    follows from the origins. It names the offending half-edge.
+    DivisibilityViolation names the geometric edge (its ``name``) and the
+    endpoint whose order it does not divide. NotConnected names the first
+    vertex that a search from the first vertex does not reach."""
     g = gog.graph
     if not g.vertices:
         raise EmptyGraph("graph has no vertices")
@@ -139,13 +143,9 @@ def check_valid(gog: GraphOfGroups) -> None:
     for e in g.half_edges:
         # bar(mate) != e only for an id ending in '~~'
         if (mate := bar(e)) not in half_edges or bar(mate) != e:
-            raise BadHalfEdgePair(
-                f"half-edge {cut(e)} is not paired with {cut(mate)}", offender=e
-            )
+            raise BadHalfEdgePair(f"half-edge {cut(e)} is not paired with {cut(mate)}")
         if g.origin.get(e) not in vertices:
-            raise BadHalfEdgePair(
-                f"half-edge {cut(e)} does not start at a vertex", offender=e
-            )
+            raise BadHalfEdgePair(f"half-edge {cut(e)} does not start at a vertex")
 
     # name~ has the order and the ends of name, so checking name checks both
     for e in edges:
@@ -154,12 +154,16 @@ def check_valid(gog: GraphOfGroups) -> None:
             n = gog.vertex_order[v]
             if s < 1 or n < 1 or n % s != 0:
                 raise DivisibilityViolation(
-                    f"edge order {s} does not divide order {n} at vertex {cut(v)}",
-                    offender=e,
+                    f"edge {cut(e)}: order {s} does not divide order {n} "
+                    f"at vertex {cut(v)}"
                 )
 
     if not is_connected(g):
-        raise NotConnected("graph is not connected")
+        reached = _reach(g, root := g.vertices[0])
+        lost = next(v for v in g.vertices if v not in reached)
+        raise NotConnected(
+            f"vertex {cut(lost)} is not reachable from vertex {cut(root)}"
+        )
 
 
 def build_gog(

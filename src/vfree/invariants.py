@@ -196,11 +196,6 @@ def _chi(net: dict[int, int]) -> Fraction:
     return -sum((Fraction(c, d) for d, c in net.items()), Fraction(0))
 
 
-def euler_char(gog: GraphOfGroups) -> Fraction:
-    """chi = -sum_d c_d/d = sum(1/|G_v|) - sum(1/|G_e|)."""
-    return _chi(_net_orders(gog)[1])
-
-
 def type_vector(gog: GraphOfGroups) -> TypeVector:
     """zeta_k = sum_{d | k} c_d for each divisor k of m."""
     m, net = _net_orders(gog)

@@ -69,9 +69,9 @@ def suite_convolution(seed: int, bound: int):
     bad = 0
     for _ in range(n_data):
         gog = oracle.random_gog(rng)
-        m, c = invariants._net_orders(gog)
+        m = invariants.m_gamma(gog)
         g = counting.g_series(gog, depth)
-        f = counting._f(m, c, depth)
+        f = counting.f_series(gog, depth)
         # the identity times Q > 0, in ints: a_u = g_u * Q
         Q = math.lcm(*(q.denominator for q in g))
         a = [q.numerator * (Q // q.denominator) for q in g]

@@ -29,10 +29,10 @@ from vfree.gog import GraphOfGroups
 from vfree.graph import SpanningTree, spanning_tree
 from vfree.invariants import (
     TypeVector,
+    _chi,
     _factorize,
     _net_orders,
     divisors,
-    euler_char,
     free_rank,
     m_gamma,
     type_vector,
@@ -93,8 +93,8 @@ def double_edge(a: int, s1: int, s2: int, b: int):
 def invariant_signature(gog: GraphOfGroups, depth: int = 0, with_g: bool = False):
     """The order-determined invariants, optionally with a counting prefix."""
     tv = type_vector(gog)
-    sig = (m_gamma(gog), euler_char(gog), tv.m, tuple(sorted(tv.zeta.items())),
-           free_rank(gog))
+    sig = (m_gamma(gog), _chi(_net_orders(gog)[1]), tv.m,
+           tuple(sorted(tv.zeta.items())), free_rank(gog))
     if depth:
         sig = sig + (tuple(f_series(gog, depth)),)
         if with_g:
@@ -106,7 +106,7 @@ def invariant_signature(gog: GraphOfGroups, depth: int = 0, with_g: bool = False
 
 def euler_char_direct(gog: GraphOfGroups) -> Fraction:
     """sum(1/|G_v|) - sum(1/|G_e|), one Fraction per vertex and geometric
-    edge. The reference for ``euler_char``, which sums over distinct orders."""
+    edge. The reference for ``_chi``, which sums over distinct orders."""
     chi = Fraction(0)
     for v in gog.graph.vertices:
         chi += Fraction(1, gog.vertex_order[v])
@@ -143,9 +143,9 @@ def type_vector_direct(gog: GraphOfGroups) -> TypeVector:
 
 
 def assert_invariants_direct(gog: GraphOfGroups) -> None:
-    """euler_char, type_vector and free_rank equal the direct formulas."""
+    """chi, type_vector and free_rank equal the direct formulas."""
     chi = euler_char_direct(gog)
-    assert euler_char(gog) == chi
+    assert _chi(_net_orders(gog)[1]) == chi
     assert type_vector(gog) == type_vector_direct(gog)
     assert free_rank(gog) == 1 - m_gamma(gog) * chi
 

@@ -30,9 +30,9 @@ from vfree.counting import f_series, f_series_rank2
 from vfree.errors import UnclassifiableShape, WrongRank
 from vfree.gog import build_gog
 from vfree.invariants import (
+    _chi,
     _net_orders,
     divisors,
-    euler_char,
     free_rank,
     m_gamma,
     type_vector,
@@ -351,4 +351,4 @@ class TestDistinguishRank1:
 class TestEulerCrossCheck:
     def test_chi_negative_iff_rank_at_least_two_on_shapes(self):
         for gog in exhaustive_rank2_shapes(8):
-            assert (euler_char(gog) < 0) == (free_rank(gog) >= 2)
+            assert (_chi(_net_orders(gog)[1]) < 0) == (free_rank(gog) >= 2)

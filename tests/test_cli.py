@@ -3,6 +3,7 @@ import hashlib
 import importlib.util
 import json
 import os
+import re
 import runpy
 import subprocess
 import sys
@@ -27,7 +28,7 @@ COMPOSITE_LOOPS = "vertex v 963761198400\n" + "".join(
     f"edge l{i} v v 1\n" for i in range(5000)
 )
 BAD_DIVISIBILITY = "vertex a 2\nvertex b 3\nedge s a b 2\n"
-DIVISIBILITY_ERROR = "edge order 2 does not divide order 3 at vertex b"
+DIVISIBILITY_ERROR = "edge s: order 2 does not divide order 3 at vertex b"
 LONG_ID = "x" * 5000
 LONG_VERTEX = f"vertex {LONG_ID} 3\nvertex b 2\nedge s b {LONG_ID} 2\n"
 # m = 24, mu = 34: f_50 is the first count past 4300 decimal digits
@@ -70,18 +71,19 @@ class TestValidate:
 
     def test_divisibility_error(self, gog_file, capsys):
         assert run(capsys, "validate", gog_file(BAD_DIVISIBILITY)) == (
-            1, "", f"error DivisibilityViolation at s: {DIVISIBILITY_ERROR}\n"
+            1, "", f"DivisibilityViolation: {DIVISIBILITY_ERROR}\n"
         )
 
     @pytest.mark.parametrize(
         "text, err",
         [
-            ("vertex a 2\nvertex b 3\n", "error NotConnected: graph is not connected\n"),
-            ("# only a comment\n", "error Empty: graph has no vertices\n"),
+            ("vertex a 2\nvertex b 3\n",
+             "NotConnected: vertex b is not reachable from vertex a\n"),
+            ("# only a comment\n", "Empty: graph has no vertices\n"),
         ],
         ids=["not-connected", "empty"],
     )
-    def test_error_without_offender(self, gog_file, capsys, text, err):
+    def test_invalid_datum_is_code_and_message(self, gog_file, capsys, text, err):
         assert run(capsys, "validate", gog_file(text)) == (1, "", err)
 
     def test_syntax_error_exit_code(self, gog_file, capsys):
@@ -95,7 +97,7 @@ class TestValidate:
         assert (code, out) == (1, "")
         assert err == "TooLarge: line 1: order has 5000 digits, more than 4300\n"
 
-    # validate names the half-edge at fault; every command names the vertex
+    # every command names the edge and the vertex at fault
     @pytest.mark.parametrize(
         "command, text",
         [
@@ -133,6 +135,27 @@ class TestValidate:
         assert code == 1
         assert out == ""
         assert err == "SyntaxError: file is not valid UTF-8 at byte 8\n"
+
+
+class TestOneErrorFormat:
+    """Every subcommand that reads a file reports a bad datum through one
+    handler, as the same single `Code: message` line."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [BAD_DIVISIBILITY, "vertex a 2\nvertex b 3\n", ""],
+        ids=["divisibility", "not-connected", "empty"],
+    )
+    def test_same_line_from_every_subcommand(self, gog_file, capsys, text):
+        path = gog_file(text)
+        errs = set()
+        for command in ("validate", "normalize", "invariants", "count", "classify",
+                        "largeness"):
+            code, out, err = run(capsys, command, path)
+            assert (code, out) == (1, "")
+            assert re.fullmatch(r"[A-Z][A-Za-z]*: \S[^\n]*\n", err)
+            errs.add(err)
+        assert len(errs) == 1
 
 
 class TestCount:

@@ -199,13 +199,22 @@ class TestValidate:
         assert gog == build_gog({"a": 2, "b": 3}, [("s", "a", "b", 1)])
 
     def test_divisibility_violation_reports_offender(self):
+        message = "edge s: order 2 does not divide order 3 at vertex b"
         with pytest.raises(DivisibilityViolation) as exc:
             build_gog({"a": 2, "b": 3}, [("s", "a", "b", 2)])
-        assert exc.value.offender == "s"
-        assert exc.value.message == "edge order 2 does not divide order 3 at vertex b"
+        assert exc.value.message == message
         with pytest.raises(DivisibilityViolation) as exc:
             GraphOfGroups(SEGMENT, {"a": 2, "b": 3}, {"s": 2})
-        assert exc.value.offender == "s"
+        assert exc.value.message == message
+
+    def test_divisibility_violation_names_name_not_its_reverse(self):
+        # the origin's order fails here, and the reverse half-edge s~ ends
+        # there; the message still names the geometric edge s
+        with pytest.raises(DivisibilityViolation) as exc:
+            build_gog({"a": 3, "b": 2}, [("s", "a", "b", 2)])
+        assert str(exc.value) == (
+            "DivisibilityViolation: edge s: order 2 does not divide order 3 at vertex a"
+        )
 
     def test_hnn_datum_full_order_loop_ok(self):
         gog = build_gog({"v": 4}, [("e", "v", "v", 4)])
@@ -215,7 +224,7 @@ class TestValidate:
     def test_empty(self):
         with pytest.raises(EmptyGraph) as exc:
             GraphOfGroups(build_graph([], []), {}, {})
-        assert exc.value.offender is None
+        assert exc.value.message == "graph has no vertices"
 
     @pytest.mark.parametrize(
         "vertices, edges",
@@ -233,7 +242,15 @@ class TestValidate:
         with pytest.raises(NotConnected) as exc:
             GraphOfGroups(build_graph(["a", "b"], []), {"a": 1, "b": 1}, {})
         assert isinstance(exc.value, InvalidGog)
-        assert exc.value.offender is None
+        assert exc.value.message == "vertex b is not reachable from vertex a"
+
+    def test_not_connected_names_the_first_unreached_vertex(self):
+        # three components {b, e}, {a, d}, {c}, vertices given out of order:
+        # the search from a (first in sorted order) misses b, c and e, and
+        # the message names b, the first of them in sorted order
+        with pytest.raises(NotConnected) as exc:
+            build_gog(dict.fromkeys("edcba", 1), [("x", "e", "b", 1), ("y", "d", "a", 1)])
+        assert exc.value.message == "vertex b is not reachable from vertex a"
 
     @pytest.mark.parametrize(
         "graph, vertex_order, edge_order, message",
@@ -255,7 +272,6 @@ class TestValidate:
             GraphOfGroups(graph, vertex_order, edge_order)
         assert isinstance(exc.value, InvalidGog)
         assert exc.value.message == message
-        assert exc.value.offender is None
 
 
 def hand_built(vertices, origin):
@@ -278,11 +294,10 @@ class TestHalfEdgePairs:
                 PATH_PQRS, {"a": 2, "b": 2, "c": 4}, {"p": 2, "q": 2, "r": 1, "s": 1}
             )
         assert isinstance(exc.value, InvalidGog)
-        assert exc.value.offender == "p"
         assert str(exc.value) == "BadHalfEdgePair: half-edge p is not paired with p~"
 
     @pytest.mark.parametrize(
-        "origin, offender, message",
+        "origin, half_edge, message",
         [
             ({"p": "a"}, "p", "half-edge p is not paired with p~"),
             ({"p": "a", "p~": "b"}, "p~", "half-edge p~ does not start at a vertex"),
@@ -292,11 +307,12 @@ class TestHalfEdgePairs:
         ],
         ids=["mate-missing", "origin-not-vertex", "double-tilde"],
     )
-    def test_one_vertex_loops(self, origin, offender, message):
+    def test_one_vertex_loops(self, origin, half_edge, message):
         graph = hand_built("a", origin)
         with pytest.raises(BadHalfEdgePair) as exc:
             GraphOfGroups(graph, {"a": 2}, dict.fromkeys(graph.orientation_reps(), 1))
-        assert (exc.value.offender, exc.value.message) == (offender, message)
+        assert exc.value.message == message
+        assert message.startswith(f"half-edge {half_edge} ")
 
 
 def shown(token, quote=str):
@@ -318,7 +334,14 @@ class TestLongIdsInMessages:
         "make, error, message",
         [
             (lambda t: build_gog({t: 3, "b": 2}, [("s", "b", t, 2)]), DivisibilityViolation,
-             lambda t: f"edge order 2 does not divide order 3 at vertex {shown(t)}"),
+             lambda t: f"edge s: order 2 does not divide order 3 at vertex {shown(t)}"),
+            (lambda t: build_gog({"a": 3, "b": 2}, [(t, "a", "b", 2)]), DivisibilityViolation,
+             lambda t: f"edge {shown(t)}: order 2 does not divide order 3 at vertex a"),
+            # t sorts after "a", so the search from "a" misses it
+            (lambda t: build_gog({"a": 1, t: 1}, []), NotConnected,
+             lambda t: f"vertex {shown(t)} is not reachable from vertex a"),
+            (lambda t: build_gog({t: 1, "y": 1}, []), NotConnected,
+             lambda t: f"vertex y is not reachable from vertex {shown(t)}"),
             # only the half-edge into the order-2 vertex is onto
             (lambda t: NormalizedGog(*rooted(build_gog({"a": 4, "b": 2}, [(t, "a", "b", 2)]))),
              NotNormalized,
@@ -332,7 +355,8 @@ class TestLongIdsInMessages:
             ), BadHalfEdgePair,
              lambda t: f"half-edge {shown(t)} is not paired with {shown(t + '~')}"),
         ],
-        ids=["divisibility", "not-normalized", "not-trivial",
+        ids=["divisibility", "divisibility-edge", "not-connected",
+             "not-connected-root", "not-normalized", "not-trivial",
              "order-keys", "half-edge-pair"],
     )
     def test_long_id_is_cut(self, make, error, message, length):

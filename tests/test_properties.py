@@ -94,6 +94,22 @@ class TestSameTypeSameSeries:
             assert all(counting.f_series(gog, 26) == f for gog in rest)
 
 
+class TestConvolutionSuite:
+    def test_one_f_series_call_per_datum(self, monkeypatch):
+        # f comes from the public f_series, so a trace times it under that span
+        calls = []
+        series = counting.f_series
+
+        def counted(gog, N):
+            calls.append(N)
+            return series(gog, N)
+
+        monkeypatch.setattr(counting, "f_series", counted)
+        [(_, ok, detail)] = properties.suite_convolution(0, 10)
+        assert (ok, detail) == (True, "0 failures")
+        assert calls == [12] * 10
+
+
 class TestFailuresCountEveryDatum:
     def test_ode_counts_each_datum_of_a_failing_type(self, monkeypatch):
         check = counting.ode_check
