@@ -17,14 +17,15 @@ and g is built from g_0 = 1 by the term ratio
 
     g_l / g_{l-1} = prod_d (d^(m/d) * prod_{j=(l-1)m/d+1}^{l*m/d} j)^(c_d),
 
-one small exact Fraction per step, derived from the orders alone. Its
+derived from the orders alone and multiplied once, as int pairs, by _g. Its
 generating function G(z) satisfies an order-mu linear ODE with integer
 coefficients theta_0..theta_mu, built from the type's terms T(j) grouped
 by k. ode_check tests the ratio above, grouped by d and never read by
 theta_coeffs, against them, and so checks g without building it.
 All arithmetic is exact; g_l is a Fraction and f_l an arbitrary-precision
 integer. Each public kernel derives the type (m, c) once, by
-``invariants._net_orders``, and mu from it by ``invariants._rank``.
+``invariants._net_orders``, and mu from it by ``invariants._rank``; the
+kernels under them (_g, _f, _theta, _ode) take the type.
 
 f is solved on a rescaled series. Let p_l/q_l be the reduced term ratios
 and K the gcd of the p_l (K = 1 when N = 0). A prime of K divides every
@@ -95,13 +96,9 @@ def _g_ratios(m: int, net: dict[int, int], N: int) -> list[tuple[int, int]]:
 
 
 def g_series(gog: GraphOfGroups, N: int) -> list[Fraction]:
-    """g_0..g_N, exactly: the running product of the term ratios from g_0 = 1."""
-    g = Fraction(1)
-    out = [g]
-    for p, q in _g_ratios(*_net_orders(gog), N):
-        g *= Fraction(p, q)
-        out.append(g)
-    return out
+    """g_0..g_N, exactly: g_u = g^_u * K^u from the running product of _g."""
+    K, pairs = _g(*_net_orders(gog), N)
+    return [Fraction(P * K**u, Q) for u, (P, Q) in enumerate(pairs)]
 
 
 def f_series(gog: GraphOfGroups, N: int) -> list[int]:
@@ -123,24 +120,31 @@ def _scale(ratios: list[tuple[int, int]]) -> int:
     return math.gcd(*(p for p, _ in ratios)) or 1
 
 
-def _f(m: int, net: dict[int, int], N: int) -> list[int]:
-    """f_1..f_N of the type (m, c): the D-scaled convolution on the ratios
-    reduced once and divided by K = _scale(ratios), then f_l = f^_l * K^l."""
-    mu = _rank(m, net)
+def _g(m: int, net: dict[int, int], N: int) -> tuple[int, list[tuple[int, int]]]:
+    """(K, [(P_u, Q_u) for u = 0..N]): K = _scale of the reduced term ratios
+    and g^_u = g_u / K^u = P_u / Q_u in lowest terms, the one running
+    product of the ratios. Each step multiplies by (p/K)/q, whose terms are
+    coprime, cross-reduced as Fraction does but on bare ints."""
     ratios = []
     for p, q in _g_ratios(m, net, N):
         d = math.gcd(p, q)
         ratios.append((p // d, q // d))
     K = _scale(ratios)
-    # g^_u = P/Q in lowest terms: each step multiplies by (p/K)/q, whose
-    # terms are coprime, cross-reduced as Fraction does but on bare ints
     P = Q = 1
-    rescaled = [(P, Q)]
+    pairs = [(P, Q)]
     for p, q in ratios:
         p //= K
         d1, d2 = math.gcd(P, q), math.gcd(p, Q)
         P, Q = (P // d1) * (p // d2), (Q // d2) * (q // d1)
-        rescaled.append((P, Q))
+        pairs.append((P, Q))
+    return K, pairs
+
+
+def _f(m: int, net: dict[int, int], N: int) -> list[int]:
+    """f_1..f_N of the type (m, c): the D-scaled convolution on _g's g^,
+    then f_l = f^_l * K^l."""
+    mu = _rank(m, net)
+    K, rescaled = _g(m, net, N)
     D = math.lcm(*(Q for _, Q in rescaled))
     a = [P * (D // Q) for P, Q in rescaled]
     f: list[int] = []  # f^_1..f^_N, turned into f_1..f_N in place at the end
@@ -192,7 +196,11 @@ def theta_coeffs(gog: GraphOfGroups, N: int | None = None) -> tuple[int, ...]:
     """
     if N is not None and N < 1:
         raise ValueError(f"theta_coeffs requires N >= 1, got {N}")
-    m, net = _net_orders(gog)
+    return _theta(*_net_orders(gog), N)
+
+
+def _theta(m: int, net: dict[int, int], N: int | None) -> tuple[int, ...]:
+    """theta_coeffs on the type (m, c)."""
     mu = _rank(m, net)
     top = mu if N is None else min(N - 1, mu)
     # exps[k-1] = zeta_{gcd(m,k)}: c_d, for d | m, is added at each multiple k of d
@@ -250,7 +258,7 @@ def ode_check(gog: GraphOfGroups, theta: tuple[int, ...], N: int) -> bool:
 
     with the empty product (u = 0) equal to 1. Every g_l is nonzero, so
     dividing by g_l states the same as P(l) = m (l+1) p_{l+1} / q_{l+1}, with
-    P(l) the sum on the left and p/q the term ratio of g_series; True iff
+    P(l) the sum on the left and p/q the term ratio (_g_ratios); True iff
     P(l) * q_{l+1} == m (l+1) p_{l+1} for l = 0..N-1, in integers, and no g
     is built. The falling factorial vanishes for u > l, so only
     theta_0..theta_{N-1} are read; any further coefficients are ignored.
@@ -263,7 +271,11 @@ def ode_check(gog: GraphOfGroups, theta: tuple[int, ...], N: int) -> bool:
 
     one prefix sum per u, from the last coefficient read down to u = 0.
     """
-    m, net = _net_orders(gog)
+    return _ode(*_net_orders(gog), theta, N)
+
+
+def _ode(m: int, net: dict[int, int], theta: tuple[int, ...], N: int) -> bool:
+    """ode_check on the type (m, c)."""
     # R_u is needed at l = 0..N-1-u only, and R_u = 0 for u >= len(theta)
     top = min(len(theta), N)
     P = [0] * (N - top)
@@ -339,7 +351,7 @@ def growth_check(gog: GraphOfGroups, N: int) -> bool:
     if (mu := _rank(m, net)) != 2:
         raise WrongRank(f"free rank {mu} != 2")
     start = 2 if (m, net) == _TRIPLE_C2_TYPE else 1
-    f = f_series(gog, N + 1)
+    f = _f(m, net, N + 1)
     return all(
         f[lam] - f[lam - 1] >= m * math.factorial(lam + 1)
         for lam in range(start, N + 1)

@@ -44,7 +44,6 @@ from .errors import (
     DivisibilityViolation,
     EmptyGraph,
     GogSyntaxError,
-    NotConnected,
     NotNormalized,
     OrderKeysMismatch,
     TooLarge,
@@ -52,7 +51,8 @@ from .errors import (
     echo,
 )
 from .graph import (
-    BAR_SUFFIX, Graph, Record, SpanningTree, _reach, build_graph, is_connected,
+    BAR_SUFFIX, Graph, Record, SpanningTree, _reach, _unreached, build_graph,
+    is_connected,
 )
 
 # ASCII decimal digits only: int() would also take "1_2", "+1" and "٣"
@@ -159,11 +159,7 @@ def check_valid(gog: GraphOfGroups) -> None:
                 )
 
     if not is_connected(g):
-        reached = _reach(g, root := g.vertices[0])
-        lost = next(v for v in g.vertices if v not in reached)
-        raise NotConnected(
-            f"vertex {cut(lost)} is not reachable from vertex {cut(root)}"
-        )
+        raise _unreached(g, root := g.vertices[0], _reach(g, root))
 
 
 def build_gog(

@@ -21,7 +21,9 @@ from __future__ import annotations
 from collections import deque
 from functools import cached_property
 
-from .errors import DanglingVertexRef, GogSyntaxError, NotConnected, UnknownRoot, echo
+from .errors import (
+    DanglingVertexRef, GogSyntaxError, NotConnected, UnknownRoot, cut, echo,
+)
 
 BAR_SUFFIX = "~"
 
@@ -172,6 +174,13 @@ def _reach(
     return via
 
 
+def _unreached(g: Graph, root: str, via: dict[str, str | None]) -> NotConnected:
+    """NotConnected naming the first vertex of ``g`` that the search from
+    ``root``, whose ``_reach`` map is ``via``, did not reach."""
+    lost = next(v for v in g.vertices if v not in via)
+    return NotConnected(f"vertex {cut(lost)} is not reachable from vertex {cut(root)}")
+
+
 def is_connected(g: Graph) -> bool:
     """True iff every vertex is reachable from the first vertex.
 
@@ -184,14 +193,14 @@ def spanning_tree(g: Graph, root: str) -> SpanningTree:
     """Breadth-first spanning tree from ``root``.
 
     Half-edges are explored in ascending id order, so the result is
-    a deterministic function of the graph and the root. Raises NotConnected
-    if the search does not reach every vertex.
+    a deterministic function of the graph and the root. Raises NotConnected,
+    naming the first vertex the search does not reach.
     """
     if root not in g.vertices:
         raise UnknownRoot(root)
     via = _reach(g, root)
     if len(via) != len(g.vertices):
-        raise NotConnected("spanning tree requires a connected graph")
+        raise _unreached(g, root, via)
     # the half-edge that first reached each vertex, and its reverse, as the
     # graph's own strings: g.bar(e) would be a new copy for the tree to hold
     first = set(via.values())

@@ -7,11 +7,11 @@ force oracles; the ode suite tests g's term ratio, read off the orders,
 against theta, built from T(j), and builds no g. theta, g and f depend
 on a datum only through its type (m, c), so the ode and growth suites
 walk the rows of their shape corpus, key each row by the type read off
-its orders, build only the first datum of each type, and count each row
-by its type's verdict; they keep no datum past its check. The growth
-suite reads the rank off the key and builds rank-2 types only, and it
-finds its one exception by comparing keys with that of C2*C2*C2, so no
-suite normalizes. They never call a predictor (the library's
+its orders, check each type once on the counting kernels of the type,
+and count each row by its type's verdict; they build no corpus datum.
+The growth suite reads the rank off the type and checks rank-2 types
+only, and it finds its one exception by comparing types with that of
+C2*C2*C2, so no suite normalizes. They never call a predictor (the library's
 `growth_check`, the tests' `predicted_parity`), so a check never
 compares a helper with itself. Each suite imports the layers
 it checks, so importing SUITES, which every CLI run does, stays cheap.
@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import random
-from functools import partial
 from itertools import chain
 
 from .gog import build_gog
@@ -44,17 +43,22 @@ def _row_key(vertex_orders, edge_specs):
     return (math.lcm(*vertex_orders.values()), *chain.from_iterable(sorted(c.items())))
 
 
+def _key_type(key):
+    """The type (m, c) of a row key."""
+    return key[0], dict(zip(key[1::2], key[2::2]))
+
+
 def _per_type(rows, check):
     """(rows seen, rows whose type failed), in one walk over rows
-    (vertex_orders, edge_specs). check(key, build) runs on the first row of
-    each type key, where build() builds that row's datum, and only its
-    verdict is kept; a row whose type's verdict is None is not seen."""
+    (vertex_orders, edge_specs). check(m, c) runs once per type key, on the
+    type alone, so no datum is built; a row whose type's verdict is None is
+    not seen."""
     verdicts: dict = {}
     seen = bad = 0
     for row in rows:
         key = _row_key(*row)
         if key not in verdicts:
-            verdicts[key] = check(key, partial(build_gog, *row))
+            verdicts[key] = check(*_key_type(key))
         seen += verdicts[key] is not None
         bad += verdicts[key] is False
     return seen, bad
@@ -69,12 +73,12 @@ def suite_convolution(seed: int, bound: int):
     bad = 0
     for _ in range(n_data):
         gog = oracle.random_gog(rng)
-        m = invariants.m_gamma(gog)
-        g = counting.g_series(gog, depth)
+        m, net = invariants._net_orders(gog)
+        K, pairs = counting._g(m, net, depth)
         f = counting.f_series(gog, depth)
-        # the identity times Q > 0, in ints: a_u = g_u * Q
-        Q = math.lcm(*(q.denominator for q in g))
-        a = [q.numerator * (Q // q.denominator) for q in g]
+        # the identity times D > 0, in ints: a_u = g_u * D = P_u * K^u * D / Q_u
+        D = math.lcm(*(Q for _, Q in pairs))
+        a = [P * K**u * (D // Q) for u, (P, Q) in enumerate(pairs)]
         for lam in range(1, depth + 1):
             lhs = sum(a[u] * f[lam - u - 1] for u in range(lam))
             if lhs != m * lam * a[lam]:
@@ -93,10 +97,9 @@ def suite_ode(seed: int, bound: int):
     dihedral = ({"a": 2, "b": 2}, [("s", "a", "b", 1)])
     terms = 30
 
-    def check(key, build):
-        gog = build()
-        # ode_check over `terms` ratios reads theta_0..theta_{terms-1} only
-        return counting.ode_check(gog, counting.theta_coeffs(gog, terms), terms)
+    def check(m, c):
+        # _ode over `terms` ratios reads theta_0..theta_{terms-1} only
+        return counting._ode(m, c, counting._theta(m, c, terms), terms)
 
     rows = chain(oracle._shape_data(min(bound, 8)), (dihedral, _bouquet(2)))
     seen, bad = _per_type(rows, check)
@@ -128,22 +131,22 @@ def suite_growth(seed: int, bound: int):
     from . import counting, invariants, oracle
 
     # f depends only on the type, so the exception is a type, not a shape
-    triple_c2 = _row_key(
-        {"a": 2, "b": 2, "c": 2}, [("s", "a", "b", 1), ("t", "b", "c", 1)]
+    triple_c2 = _key_type(
+        _row_key({"a": 2, "b": 2, "c": 2}, [("s", "a", "b", 1), ("t", "b", "c", 1)])
     )
     n = bound
     exceptional = []
 
-    def check(key, build):
-        if invariants._rank(key[0], dict(zip(key[1::2], key[2::2]))) != 2:
+    def check(m, c):
+        if invariants._rank(m, c) != 2:
             return None
-        f = counting.f_series(build(), n + 1)
+        f = counting._f(m, c, n + 1)
         holds = [
-            f[lam] - f[lam - 1] >= key[0] * math.factorial(lam + 1)
+            f[lam] - f[lam - 1] >= m * math.factorial(lam + 1)
             for lam in range(1, n + 1)
         ]
-        if key == triple_c2:
-            exceptional.append(key)
+        if (m, c) == triple_c2:
+            exceptional.append(m)
             # the bound genuinely fails at lambda = 1 for this type only
             return not holds[0] and all(holds[1:])
         return all(holds)

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from vfree import build_gog, oracle
+from vfree import build_gog, counting, oracle
 from vfree.classify import ClassificationReport, Label
 from vfree.counting import (
     _g_ratios,
@@ -254,11 +254,16 @@ def orientation_uniqueness_by_product(tree: SpanningTree, v0: str) -> bool:
 def f_series_fractions(gog: GraphOfGroups, N: int) -> list[int]:
     """f_1..f_N by the convolution against g_0..g_N in Fractions.
 
-    The reference for the integer kernel of ``f_series``: every
-    multiply-subtract here is a reduced Fraction, so it shares neither the
-    common denominator nor the scaled numerators.
+    The reference for the integer kernel of ``f_series``: g is its own
+    running product of Fractions over the term ratios, and every
+    multiply-subtract here is a reduced Fraction, so it shares neither
+    ``counting._g``'s int pairs, the common denominator nor the scaled
+    numerators. The ratios are looked up on the module, so a test that
+    rigs ``counting._g_ratios`` rigs this reference too.
     """
-    g = g_series(gog, N)
+    g = [Fraction(1)]
+    for p, q in counting._g_ratios(*_net_orders(gog), N):
+        g.append(g[-1] * Fraction(p, q))
     m = m_gamma(gog)
     mu = free_rank(gog)
     f: list[int] = []

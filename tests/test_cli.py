@@ -606,11 +606,11 @@ class TestVerify:
             ("convolution", counting, "_f", first_count_plus_one,
              "convolution-identity"),
             ("parity", counting, "f_series", first_count_plus_one, "parity-"),
-            ("growth", counting, "f_series", first_count_plus_one, "growth-bound"),
+            ("growth", counting, "_f", first_count_plus_one, "growth-bound"),
             ("oracle", counting, "f_series", first_count_plus_one,
              "oracle-free-rank-"),
             ("ode", counting, "_g_ratios", one_ratio_doubled, "ode-recurrence"),
-            ("ode", counting, "theta_coeffs", first_theta_plus_one, "ode-recurrence"),
+            ("ode", counting, "_theta", first_theta_plus_one, "ode-recurrence"),
             ("oracle", oracle, "orientation_uniqueness", lambda fn: lambda *a: False,
              "oracle-orientation-uniqueness"),
         ],

@@ -28,6 +28,7 @@ COMMANDS = [
     ["invariants"],
     ["classify"],
     ["largeness"],
+    ["count", "--terms", "30", "--g"],
 ]
 CASES = [(cmd, name) for name in INPUTS for cmd in COMMANDS]
 

@@ -84,6 +84,24 @@ class TestGSeries:
     def test_matches_closed_form(self, gog):
         assert same_values(g_series(gog, 20), g_closed_form(gog, 20))
 
+    def test_matches_closed_form_on_big(self):
+        # K has 101 bits on BIG, so g_u = g^_u * K^u differs from g^_u
+        assert same_values(g_series(BIG, 100), g_closed_form(BIG, 100))
+
+    @staticmethod
+    def assert_pairs_in_lowest_terms(gog, N):
+        _, pairs = counting._g(*invariants._net_orders(gog), N)
+        assert len(pairs) == N + 1
+        assert all(Q > 0 and math.gcd(P, Q) == 1 for P, Q in pairs)
+
+    @given(small_gogs())
+    @settings(max_examples=50, deadline=None)
+    def test_pairs_in_lowest_terms(self, gog):
+        self.assert_pairs_in_lowest_terms(gog, 20)
+
+    def test_pairs_in_lowest_terms_on_big(self):
+        self.assert_pairs_in_lowest_terms(BIG, 100)
+
 
 def reduced_ratios(gog, N):
     """The term ratios g_l / g_{l-1}, l = 1..N, in lowest terms."""
@@ -615,8 +633,13 @@ class TestOneDerivationPerCall:
             (lambda gog: counting.ode_check(gog, (5, 72, 36), 5), 1),
             (invariants.free_rank, 1),
             (lambda gog: counting.f_series(gog, 5), 1),
+            (lambda gog: counting.g_series(gog, 5), 1),
+            (lambda gog: counting.growth_check(gog, 5), 1),
         ],
-        ids=["theta_coeffs", "ode_check", "free_rank", "f_series"],
+        ids=[
+            "theta_coeffs", "ode_check", "free_rank", "f_series", "g_series",
+            "growth_check",
+        ],
     )
     def test_derivations(self, calls, fn, derivations):
         fn(c2_star_c3())

@@ -180,8 +180,18 @@ class TestSpanningTree:
 
     def test_not_connected(self):
         g = build_graph(["a", "b"], [])
-        with pytest.raises(NotConnected):
+        with pytest.raises(NotConnected) as exc:
             spanning_tree(g, "a")
+        # the message gog.check_valid gives for the same graph
+        assert str(exc.value) == "NotConnected: vertex b is not reachable from vertex a"
+
+    def test_not_connected_names_the_first_unreached_vertex(self):
+        # the first vertex, in graph order, that the search from root misses
+        g = build_graph(["a", "b", "c"], [("s", "a", "c")])
+        for root, lost in (("a", "b"), ("b", "a"), ("c", "b")):
+            with pytest.raises(NotConnected) as exc:
+                spanning_tree(g, root)
+            assert exc.value.message == f"vertex {lost} is not reachable from vertex {root}"
 
     def test_unknown_root(self):
         with pytest.raises(UnknownRoot):

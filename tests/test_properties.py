@@ -112,11 +112,10 @@ class TestConvolutionSuite:
 
 class TestFailuresCountEveryDatum:
     def test_ode_counts_each_datum_of_a_failing_type(self, monkeypatch):
-        check = counting.ode_check
+        # the suite checks each type on the kernel, so the kernel is rigged
+        check = counting._ode
         monkeypatch.setattr(
-            counting,
-            "ode_check",
-            lambda gog, th, N: m_gamma(gog) != 6 and check(gog, th, N),
+            counting, "_ode", lambda m, c, th, N: m != 6 and check(m, c, th, N)
         )
         k = sum(m_gamma(gog) == 6 for gog in ode_corpus())
         assert k > len({type_key(gog) for gog in ode_corpus() if m_gamma(gog) == 6})
@@ -124,11 +123,11 @@ class TestFailuresCountEveryDatum:
         assert (ok, detail) == (False, f"{k} failures")
 
     def test_growth_counts_each_datum_of_a_failing_type(self, monkeypatch):
-        series = counting.f_series
+        series = counting._f
         monkeypatch.setattr(
             counting,
-            "f_series",
-            lambda gog, N: [0] * (N + 1) if m_gamma(gog) == 6 else series(gog, N),
+            "_f",
+            lambda m, c, N: [0] * (N + 1) if m == 6 else series(m, c, N),
         )
         k = sum(m_gamma(gog) == 6 for gog in growth_corpus())
         assert k > len({type_key(gog) for gog in growth_corpus() if m_gamma(gog) == 6})
@@ -140,8 +139,8 @@ class TestFailuresCountEveryDatum:
 
 class TestStreaming:
     def test_no_corpus_datum_outlives_its_check(self, monkeypatch):
-        # each build counts the earlier data still alive; a suite that held
-        # its data would count up to 350 of them
+        # the suites check each type on the kernels of the type and build
+        # no corpus datum; each build counts the earlier data still alive
         refs = []
         alive = []
         build = properties.build_gog
@@ -153,14 +152,14 @@ class TestStreaming:
             return gog
 
         monkeypatch.setattr(properties, "build_gog", tracked)
-        # ode: one datum per type of its 642 rows, plus the dihedral whose
-        # coefficients it checks; growth: one per rank-2 type of its 640
+        # ode builds only the dihedral whose coefficients it checks; growth
+        # builds nothing
         for suite, bound, builds in (
-            (properties.suite_ode, 8, 350 + 1),
-            (properties.suite_growth, 25, 22),
+            (properties.suite_ode, 8, 1),
+            (properties.suite_growth, 25, 0),
         ):
             refs.clear()
             alive.clear()
             assert all(ok for _, ok, _ in suite(0, bound))
             assert len(refs) == builds
-            assert max(alive) <= 2
+            assert alive == [0] * builds
