@@ -17,7 +17,7 @@ and g is built from g_0 = 1 by the term ratio
 
     g_l / g_{l-1} = prod_d (d^(m/d) * prod_{j=(l-1)m/d+1}^{l*m/d} j)^(c_d),
 
-derived from the orders alone and multiplied once, as int pairs, by _g. Its
+derived from the orders alone and multiplied once, on bare ints, by _g. Its
 generating function G(z) satisfies an order-mu linear ODE with integer
 coefficients theta_0..theta_mu, built from the type's terms T(j) grouped
 by k. ode_check tests the ratio above, grouped by d and never read by
@@ -53,13 +53,35 @@ means corrupted order data, at the same l where the unscaled convolution
 first fails, and raises NonIntegralCount rather than being truncated into
 a wrong count. Both NonIntegralCount and NonPositiveCount report f_l, not
 f^_l.
+
+On free rank mu <= 2 the convolution stops at l = 3 and f goes on by a
+recurrence on f alone. The convolution says F(z) = sum_{l>=1} f_l z^l =
+m z G'/G, and G solves the ODE of theta_coeffs, theta_0 G + (theta_1 z - m)
+G' + theta_2 z^2 G'' = 0 with theta_u = 0 for u > mu. With y = G'/G, so
+that G''/G = y' + y^2, the ODE is a Riccati equation for y = F/(m z),
+whose z^l coefficient reads
+
+    m f_{l+1} = (theta_1 + theta_2 (l-1)) f_l
+                + (theta_2 / m) sum_{u=1}^{l-1} f_u f_{l-u},   l >= 1,
+
+so a step takes ceil((l-1)/2) products of f-sized ints and one exact
+division by m, against l products and a g of D-scaled ints for the
+convolution. Only theta_1 and theta_2 are read, and neither
+needs T(j), which takes m factors: theta_2 is T's leading coefficient,
+which is m^mu, since T(x) = m(x+1) * prod_k (m x + k)^zeta_{gcd(m,k)} has
+degree 1 + sum_k zeta_{gcd(m,k)} = 1 - m*chi = mu; so theta_2 = m^2 on
+rank 2 and 0 below it. theta_1 is read off the l = 1 step, m f_2 =
+theta_1 f_1 (f_1 = theta_0 > 0 on rank >= 1; theta_1 = 0 on rank 0), and
+a theta_1 that is not an integer raises NonIntegralTheta. On rank 1
+(theta_1 = m) f stays constant, and on rank 0 it is 0 after f_1. Every
+term of the step is nonnegative, so f_{l+1} > 0 follows from f_l > 0 and
+needs no check; a remainder still raises NonIntegralCount.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from fractions import Fraction
 from itertools import accumulate
 
 from .errors import (
@@ -96,14 +118,18 @@ def _g_ratios(m: int, net: dict[int, int], N: int) -> list[tuple[int, int]]:
 
 
 def g_series(gog: GraphOfGroups, N: int) -> list[Fraction]:
-    """g_0..g_N, exactly: g_u = g^_u * K^u from the running product of _g."""
-    K, pairs = _g(*_net_orders(gog), N)
-    return [Fraction(P * K**u, Q) for u, (P, Q) in enumerate(pairs)]
+    """g_0..g_N, exactly, from the unscaled numerators of _g's running
+    product."""
+    from fractions import Fraction
+
+    _, terms = _g(*_net_orders(gog), N)
+    return [Fraction(U, Q) for _, Q, U in terms]
 
 
 def f_series(gog: GraphOfGroups, N: int) -> list[int]:
-    """f_1..f_N, solved from the convolution against g_0..g_N rescaled by K
-    (see the module docstring); g itself is not built.
+    """f_1..f_N, solved from the convolution against g_0..g_N rescaled by K,
+    and past f_3 on free rank <= 2 from the Riccati recurrence (see the
+    module docstring); g itself is not built.
 
     Each value must come out a nonnegative integer, positive whenever the
     free rank is at least 1; a violation signals corrupted order data.
@@ -120,40 +146,49 @@ def _scale(ratios: list[tuple[int, int]]) -> int:
     return math.gcd(*(p for p, _ in ratios)) or 1
 
 
-def _g(m: int, net: dict[int, int], N: int) -> tuple[int, list[tuple[int, int]]]:
-    """(K, [(P_u, Q_u) for u = 0..N]): K = _scale of the reduced term ratios
-    and g^_u = g_u / K^u = P_u / Q_u in lowest terms, the one running
-    product of the ratios. Each step multiplies by (p/K)/q, whose terms are
-    coprime, cross-reduced as Fraction does but on bare ints."""
+def _g(
+    m: int, net: dict[int, int], N: int
+) -> tuple[int, list[tuple[int, int, int]]]:
+    """(K, [(P_u, Q_u, U_u) for u = 0..N]): K = _scale of the reduced term
+    ratios, g^_u = g_u / K^u = P_u / Q_u and g_u = U_u / Q_u, both in lowest
+    terms (K is coprime to Q_u), from the one running product of the
+    ratios. Each step multiplies P by (p/K)/q, whose terms are coprime,
+    cross-reduced as Fraction does but on bare ints, and U by p/q with the
+    same two gcds, since U_u = P_u * K^u."""
     ratios = []
     for p, q in _g_ratios(m, net, N):
         d = math.gcd(p, q)
         ratios.append((p // d, q // d))
     K = _scale(ratios)
-    P = Q = 1
-    pairs = [(P, Q)]
+    P = Q = U = 1
+    terms = [(P, Q, U)]
     for p, q in ratios:
-        p //= K
-        d1, d2 = math.gcd(P, q), math.gcd(p, Q)
-        P, Q = (P // d1) * (p // d2), (Q // d2) * (q // d1)
-        pairs.append((P, Q))
-    return K, pairs
+        r = p // K
+        d1, d2 = math.gcd(P, q), math.gcd(r, Q)
+        P, Q = (P // d1) * (r // d2), (Q // d2) * (q // d1)
+        U = (U // d1) * (p // d2)
+        terms.append((P, Q, U))
+    return K, terms
 
 
 def _f(m: int, net: dict[int, int], N: int) -> list[int]:
     """f_1..f_N of the type (m, c): the D-scaled convolution on _g's g^,
-    then f_l = f^_l * K^l."""
+    then f_l = f^_l * K^l; on free rank <= 2 the convolution stops at f_3
+    and _riccati goes on from there."""
     mu = _rank(m, net)
-    K, rescaled = _g(m, net, N)
-    D = math.lcm(*(Q for _, Q in rescaled))
-    a = [P * (D // Q) for P, Q in rescaled]
-    f: list[int] = []  # f^_1..f^_N, turned into f_1..f_N in place at the end
-    for lam in range(1, N + 1):
+    top = min(N, 3) if mu <= 2 else N
+    K, rescaled = _g(m, net, top)
+    D = math.lcm(*(Q for _, Q, _ in rescaled))
+    a = [P * (D // Q) for P, Q, _ in rescaled]
+    f: list[int] = []  # f^_1..f^_top, turned into f_1..f_top in place below
+    for lam in range(1, top + 1):
         val = m * lam * a[lam]
         for u in range(1, lam):
             val -= a[u] * f[lam - u - 1]
         n, rem = divmod(val, D)
         if rem:
+            from fractions import Fraction
+
             raise NonIntegralCount(
                 f"f_{lam} = {Fraction(val, D) * K**lam} is not an integer"
             )
@@ -161,10 +196,41 @@ def _f(m: int, net: dict[int, int], N: int) -> list[int]:
             raise NonPositiveCount(f"f_{lam} = {n * K**lam} with free rank {mu}")
         f.append(n)
     scale = 1
-    for i in range(N):
+    for i in range(top):
         scale *= K
         f[i] *= scale
+    if top < N:
+        _riccati(m, mu, f, N)
     return f
+
+
+def _riccati(m: int, mu: int, f: list[int], N: int) -> None:
+    """Extend f_1..f_3 of a type of free rank mu <= 2 to f_1..f_N in place,
+    by the Riccati recurrence of the module docstring."""
+    theta2 = m * m if mu == 2 else 0
+    theta1, rem = divmod(m * f[1], f[0]) if mu else (0, 0)
+    if rem:
+        from fractions import Fraction
+
+        raise NonIntegralTheta(
+            f"theta_1 = {Fraction(m * f[1], f[0])} is not an integer"
+        )
+    for lam in range(len(f), N):
+        # sum_{u=1}^{lam-1} f_u f_{lam-u}: each product u < lam-u once,
+        # doubled, and the square at u = lam/2
+        h = (lam - 1) // 2
+        conv = 2 * sum(map(operator.mul, f[:h], f[lam - 2 : lam - 2 - h : -1]))
+        if lam % 2 == 0:
+            conv += f[lam // 2 - 1] ** 2
+        val = (theta1 + theta2 * (lam - 1)) * f[-1] + theta2 // m * conv
+        n, rem = divmod(val, m)
+        if rem:
+            from fractions import Fraction
+
+            raise NonIntegralCount(
+                f"f_{lam + 1} = {Fraction(val, m)} is not an integer"
+            )
+        f.append(n)
 
 
 def theta_coeffs(gog: GraphOfGroups, N: int | None = None) -> tuple[int, ...]:
@@ -223,7 +289,11 @@ def _theta(m: int, net: dict[int, int], N: int | None) -> tuple[int, ...]:
                 num *= block**e
             else:
                 den *= block**-e
-        return num if den == 1 else Fraction(num, den)
+        if den == 1:
+            return num
+        from fractions import Fraction
+
+        return Fraction(num, den)
 
     # the alternating binomial sum for theta_u is the u-th forward
     # difference of the term sequence at 0, divided by u!
@@ -236,6 +306,8 @@ def _theta(m: int, net: dict[int, int], N: int | None) -> tuple[int, ...]:
             work = list(map(operator.sub, work[1:], work))
         val, rem = divmod(work[0], factorial)
         if rem:
+            from fractions import Fraction
+
             raise NonIntegralTheta(
                 f"theta_{u} = {Fraction(work[0], factorial)} is not an integer"
             )
@@ -318,8 +390,14 @@ def f_series_rank2(class_label: str, params: dict[str, int], N: int) -> list[int
     f_{l+1} = c_l * m * f_l + sum_{u=1}^{l-1} f_u * f_{l-u}, where c_l is
     (2l+3)/2 for classes i and iv, l+2 for class ii, and l+1 for classes
     iii and v. Initial values: m^2/2 (i, iv), m^2 (ii), (m-|S|)*|S| (iii),
-    (m/2)^2 (v). Must agree with the generic convolution on every datum of
-    the class.
+    (m/2)^2 (v). Must agree with f_series on every datum of the class.
+
+    This is the Riccati recurrence of f_series divided by m, since
+    c_l = theta_1 / m^2 + l - 1, with theta_1 / m^2 = c_1 (5/2, 3, 2, 5/2,
+    2 for i-v) taken from the class and f_1 from its params. f_series reads
+    theta_1 off its own f_2 and f_1 off the orders, so this is an
+    independent check on that path. (perfbench/make_expected.py imports
+    it, so it stays public.)
     """
     m, s = _rank2_inputs(class_label, params)
     if class_label in ("i", "iv", "v") and m % 2 != 0:

@@ -74,11 +74,11 @@ def suite_convolution(seed: int, bound: int):
     for _ in range(n_data):
         gog = oracle.random_gog(rng)
         m, net = invariants._net_orders(gog)
-        K, pairs = counting._g(m, net, depth)
+        _, terms = counting._g(m, net, depth)
         f = counting.f_series(gog, depth)
-        # the identity times D > 0, in ints: a_u = g_u * D = P_u * K^u * D / Q_u
-        D = math.lcm(*(Q for _, Q in pairs))
-        a = [P * K**u * (D // Q) for u, (P, Q) in enumerate(pairs)]
+        # the identity times D > 0, in ints: a_u = g_u * D = U_u * D / Q_u
+        D = math.lcm(*(Q for _, Q, _ in terms))
+        a = [U * (D // Q) for _, Q, U in terms]
         for lam in range(1, depth + 1):
             lhs = sum(a[u] * f[lam - u - 1] for u in range(lam))
             if lhs != m * lam * a[lam]:

@@ -23,6 +23,17 @@ C2C3 = "vertex a 2\nvertex b 3\nedge s a b 1\n"
 COLLAPSIBLE = "vertex a 4\nvertex b 2\nedge s a b 2\n"
 # m = mu = 10^18 = 2^18 * 5^18: its 361 divisors come from one factorization
 HUGE_LOOP = "vertex a 1000000000000000000\nedge l a a 1\n"
+# rank 2, m = 6 * 10^12: T(j) has m factors, so a kernel that built theta
+# from them would not end; f reads only theta_1 and theta_2 = m^2
+HUGE_RANK2 = (
+    "vertex a 2000000000000\nvertex b 3000000000000\n"
+    "edge s a b 1000000000000\n"
+)
+# SHA-256 and length of `count --terms 50` on it, taken from the
+# convolution kernel that solved f from g alone
+HUGE_RANK2_COUNT_50 = (
+    "1db707b64eb098d539c9b21be807df438c2235a368c9783970fdfd682a3411e0", 18499
+)
 # m = 2^6 * 3^4 * 5^2 * 7 * 11 * 13 * 17 * 19 * 23 (6,720 divisors), 5,000 loops
 COMPOSITE_LOOPS = "vertex v 963761198400\n" + "".join(
     f"edge l{i} v v 1\n" for i in range(5000)
@@ -215,6 +226,12 @@ class TestCount:
             1, "", f"DivisibilityViolation: {DIVISIBILITY_ERROR}\n"
         )
 
+    def test_huge_rank2_order(self, gog_file, capsys):
+        code, out, err = run(capsys, "count", "--terms", "50", gog_file(HUGE_RANK2))
+        assert (code, err) == (0, "")
+        data = out.encode()
+        assert (hashlib.sha256(data).hexdigest(), len(data)) == HUGE_RANK2_COUNT_50
+
     def test_terms_cap(self, gog_file, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["count", "--terms", "201", gog_file(DIHEDRAL)])
@@ -372,6 +389,11 @@ class TestClassify:
     def test_huge_order(self, gog_file, capsys):
         assert run(capsys, "classify", gog_file(HUGE_LOOP)) == (
             0, "rank=1000000000000000000 class=HIGHER m=1000000000000000000\n", ""
+        )
+
+    def test_huge_rank2_order(self, gog_file, capsys):
+        assert run(capsys, "classify", gog_file(HUGE_RANK2)) == (
+            0, "rank=2 class=III_1 a=(2,3) |S|=1000000000000\nwitness=a,s,b\n", ""
         )
 
     def test_prime_order_is_not_factorized(self, gog_file):

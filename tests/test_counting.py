@@ -26,7 +26,8 @@ from helpers import (
     triple_c2,
     type_vector_direct,
 )
-from vfree import cli, counting, invariants
+from vfree import cli, counting, invariants, oracle, properties
+from vfree.classify import classify
 from vfree.counting import (
     f_series,
     f_series_rank2,
@@ -90,9 +91,12 @@ class TestGSeries:
 
     @staticmethod
     def assert_pairs_in_lowest_terms(gog, N):
-        _, pairs = counting._g(*invariants._net_orders(gog), N)
-        assert len(pairs) == N + 1
-        assert all(Q > 0 and math.gcd(P, Q) == 1 for P, Q in pairs)
+        K, terms = counting._g(*invariants._net_orders(gog), N)
+        assert len(terms) == N + 1
+        assert all(Q > 0 and math.gcd(P, Q) == 1 for P, Q, _ in terms)
+        # g_u = U_u / Q_u = g^_u * K^u, also in lowest terms
+        assert all(U == P * K**u for u, (P, _, U) in enumerate(terms))
+        assert all(math.gcd(U, Q) == 1 for _, Q, U in terms)
 
     @given(small_gogs())
     @settings(max_examples=50, deadline=None)
@@ -294,6 +298,107 @@ class TestScale:
         assert counting._scale([]) == 1
         assert f_series(BIG, 0) == []
         assert f_series(BIG, 1) == f_series_fractions(BIG, 1)
+
+
+def low_rank_shapes(order_bound):
+    """(type key, datum, m, mu) for each corpus shape of free rank <= 2 with
+    orders <= order_bound."""
+    for row in oracle._shape_data(order_bound):
+        key = properties._row_key(*row)
+        m, c = properties._key_type(key)
+        mu = invariants._rank(m, c)
+        if mu <= 2:
+            yield key, build_gog(*row), m, mu
+
+
+# theta_1 / m^2 of each rank-2 recurrence family: c_1 of f_series_rank2
+FAMILY_THETA_1 = {
+    "i": Fraction(5, 2), "ii": 3, "iii": 2, "iv": Fraction(5, 2), "v": 2
+}
+
+
+class TestRiccati:
+    """f past f_3 on free rank <= 2, from the Riccati form of g's ODE,
+    against the Fraction convolution, which reads every ratio of g."""
+
+    def test_shape_types_match_fraction_reference(self):
+        # f is a function of the type, so each type is checked once
+        types = {key: (gog, mu) for key, gog, _, mu in low_rank_shapes(12)}
+        assert len(types) == 65
+        # rank 0 (theta_1 = 0: f is 0 after f_1) and rank 1 (theta_1 = m:
+        # f is constant) take the same recurrence as rank 2
+        assert {mu for _, mu in types.values()} == {0, 1, 2}
+        for gog, _ in types.values():
+            assert f_series(gog, 60) == f_series_fractions(gog, 60)
+
+    @pytest.mark.parametrize("name", sorted(RANK2_INPUTS))
+    def test_benchmark_rank2_inputs_match_fraction_reference(self, name):
+        gog = parse_gog((INPUTS / name).read_text(encoding="utf-8"))
+        assert f_series(gog, 200) == f_series_fractions(gog, 200)
+
+    def test_theta_by_family(self):
+        # theta_2 = m^mu, the leading coefficient of T, and theta_1, the
+        # coefficient read off m f_2 = theta_1 f_1, is c_1 m^2 of the class
+        families = set()
+        for _, gog, m, mu in low_rank_shapes(12):
+            if mu != 2:
+                continue
+            theta = theta_coeffs(gog)
+            f = f_series(gog, 2)
+            assert len(theta) == 3 and theta[2] == m * m
+            assert theta[1] * f[0] == m * f[1]
+            family = classify(normalize(gog)[0]).label.family
+            assert Fraction(theta[1], m * m) == FAMILY_THETA_1[family]
+            families.add(family)
+        assert families == set(FAMILY_THETA_1)
+
+    @pytest.mark.parametrize("check", [f_series, growth_check])
+    @pytest.mark.parametrize(
+        "lam, ratio, error",
+        [
+            # on F2, g_l = l!: each ratio is l/1, and f = 1, 3, 13, ...
+            (2, lambda p, q: (9, 8), NonIntegralCount),
+            (2, lambda p, q: (0, 1), NonPositiveCount),
+            (3, lambda p, q: (1, 4), NonIntegralCount),
+            (3, lambda p, q: (1, 2), NonPositiveCount),
+        ],
+        ids=["2-non-integral", "2-non-positive", "3-non-integral", "3-non-positive"],
+    )
+    def test_ratio_rigged_before_the_recurrence(
+        self, monkeypatch, check, lam, ratio, error
+    ):
+        # f_1..f_3 still come from the convolution, so a ratio corrupted at
+        # l <= 3 raises what the Fraction reference raises, through either caller
+        monkeypatch.setattr(counting, "_g_ratios", ratio_replaced(lam, ratio))
+        with pytest.raises(error) as expected:
+            f_series_fractions(free_bouquet(2), 20)
+        with pytest.raises(error) as exc:
+            check(free_bouquet(2), 20)
+        assert str(exc.value) == str(expected.value)
+
+    @pytest.mark.parametrize(
+        "name, ratio, error, message",
+        [
+            # f_1 = 3, f_2 = 4 on m = 4
+            ("c2c4.gog", (25, 24), NonIntegralTheta,
+             "NonIntegralTheta: theta_1 = 16/3 is not an integer"),
+            # f_1 = 20 on m = 12: theta_1 = 3 f_2 / 5 is an integer, but
+            # theta_1 f_3 is not a multiple of m
+            ("am64.gog", (29, 24), NonIntegralCount,
+             "NonIntegralCount: f_4 = 172185/4 is not an integer"),
+        ],
+        ids=["theta", "step"],
+    )
+    def test_corrupted_g_2_past_the_convolution(
+        self, monkeypatch, name, ratio, error, message
+    ):
+        # f_1..f_3 pass, and the recurrence raises on what they imply
+        gog = parse_gog((INPUTS / name).read_text(encoding="utf-8"))
+        rigged = ratio_replaced(2, lambda p, q: ratio)
+        monkeypatch.setattr(counting, "_g_ratios", rigged)
+        with pytest.raises(error) as exc:
+            f_series(gog, 6)
+        assert str(exc.value) == message
 
 
 def wide_shapes():

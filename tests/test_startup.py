@@ -40,9 +40,9 @@ print(json.dumps(sorted(m for m in watched if m in sys.modules)))
 BASE = ["vfree", "vfree.cli", "vfree.errors", "vfree.gog", "vfree.graph", "vfree.properties"]
 
 
-# the subcommands that print chi or a counting series, the only users of
-# `fractions` (which imports `decimal`)
-FRACTIONS = {"invariants", "count"}
+# the subcommands that print chi or g, the only users of `fractions` (which
+# imports `decimal`); f is an int series and builds no Fraction
+FRACTIONS = {"invariants", "count --g"}
 
 
 @pytest.mark.parametrize(
@@ -53,14 +53,23 @@ FRACTIONS = {"invariants", "count"}
         ("invariants", ["vfree.invariants", "vfree.normalize"]),
         ("classify", ["vfree.classify", "vfree.invariants", "vfree.normalize"]),
         ("count", ["vfree.counting", "vfree.invariants"]),
+        ("count --g", ["vfree.counting", "vfree.invariants"]),
     ],
 )
 def test_subcommand_loads_only_what_it_runs(command, extra):
     # -S: modules that `site` imports are not the program's doing
-    *_, loaded, watched = python("-S", "-c", LOADED, command, C2C3).splitlines()
+    argv = [*command.split(), C2C3]
+    *_, loaded, watched = python("-S", "-c", LOADED, *argv).splitlines()
     assert json.loads(loaded) == [0, sorted(BASE + extra)]
     # no record needs `dataclasses`, which imports `inspect`
     assert json.loads(watched) == (["decimal", "fractions"] if command in FRACTIONS else [])
+
+
+def test_verify_loads_no_fractions():
+    # every suite checks on ints alone: no Fraction for g, theta or f
+    *_, loaded, watched = python("-S", "-c", LOADED, "verify", "all").splitlines()
+    assert json.loads(loaded)[0] == 0
+    assert json.loads(watched) == []
 
 
 API = """
