@@ -9,6 +9,9 @@ two loops filling the vertex group; segment with index pair {2,3}, {3,3},
 or {2,4}; segment glued to an index-1 loop; and a path of three groups of
 equal order amalgamated over index-2 subgroups. Each shape forces its
 indices, so ``_PATTERNS`` is one table from index pattern to class.
+
+Largeness criterion (vii)'s non-large shapes are the rank <= 1 rows of
+the same table.
 """
 
 from __future__ import annotations
@@ -17,9 +20,9 @@ from collections import Counter
 from enum import Enum
 
 from .errors import UnclassifiableShape
-from .gog import NormalizedGog
+from .gog import GraphOfGroups, NormalizedGog
 from .graph import Record
-from .invariants import _chi, _net_orders, _rank
+from .invariants import _net_orders, _rank
 
 
 class Label(Enum):
@@ -68,6 +71,16 @@ _PATTERNS = {
 }
 
 
+def _pattern(gog: GraphOfGroups, m: int) -> tuple:
+    """The index pattern, the key of _PATTERNS, of a datum with m = m_gamma."""
+    g = gog.graph
+    return (
+        len(g.vertices),
+        tuple(sorted(m // n for n in gog.vertex_order.values())),
+        tuple(sorted((g.is_loop(e), m // s) for e, s in gog.edge_order.items())),
+    )
+
+
 class ClassificationReport(Record):
     """The free rank mu, the class, the ``params`` that fill ``label.line``,
     and the witness ids (vertices and half-edges) of the matched shape."""
@@ -101,11 +114,7 @@ def classify(ngog: NormalizedGog) -> ClassificationReport:
     if mu >= 3:
         return ClassificationReport(mu, Label.HIGHER, {"m": m, "mu": mu}, ())
 
-    pattern = (
-        len(g.vertices),
-        tuple(sorted(m // n for n in gog.vertex_order.values())),
-        tuple(sorted((g.is_loop(e), m // s) for e, s in gog.edge_order.items())),
-    )
+    pattern = _pattern(gog, m)
     if (label := _PATTERNS.get(pattern)) is None:
         raise UnclassifiableShape(f"rank {mu}: no class has index pattern {pattern}")
     witness, edges = _walk(ngog)
@@ -154,21 +163,14 @@ def largeness_report(ngog: NormalizedGog, N: int) -> LargenessReport:
     from .counting import f_series  # here, so `vfree classify` never loads counting
 
     gog = ngog.gog
-    g = gog.graph
     m, net = _net_orders(gog)
-    chi_negative = _chi(net) < 0
     rank_ge_2 = _rank(m, net) >= 2
-
-    # criterion (vii): large unless the normalized datum is a bare vertex,
-    # one loop whose edge group is the whole vertex group, or one edge
-    # amalgamating two index-2 subgroups
-    geom = g.orientation_reps()
-    structural = len(geom) >= 2
-    if len(geom) == 1:
-        e = geom[0]
-        s = gog.edge_order[e]
-        a = gog.vertex_order[g.origin[e]] // s, gog.vertex_order[g.terminus[e]] // s
-        structural = a[0] >= 2 if g.is_loop(e) else a != (2, 2)
+    pattern = _, v_index, e_index = _pattern(gog, m)
+    # m*chi = sum_v m/|G_v| - sum_e m/|G_e|, in integers over the graph
+    chi_negative = sum(v_index) < sum(i for _, i in e_index)
+    # criterion (vii): large unless the pattern is a rank <= 1 row; those
+    # rows have at most one edge, and their indices force the shape
+    structural = _PATTERNS.get(pattern) not in (Label.FINITE, Label.R1_I, Label.R1_II)
 
     # through the public f_series, not its kernel, so that the benchmark's
     # trace times this f layer; that derives the type once more

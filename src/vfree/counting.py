@@ -89,11 +89,15 @@ from .errors import (
     NonIntegralCount,
     NonIntegralTheta,
     NonPositiveCount,
+    TooLarge,
     UnknownClass,
     WrongRank,
 )
 from .gog import GraphOfGroups
-from .invariants import _net_orders, _rank
+from .invariants import _digits, _net_orders, _rank
+
+# the largest m _theta lists exponents for: 53 ms and 8.4 MB there at rank 2
+_MAX_THETA_M = 1 << 20
 
 
 def _g_ratios(m: int, net: dict[int, int], N: int) -> list[tuple[int, int]]:
@@ -137,6 +141,13 @@ def f_series(gog: GraphOfGroups, N: int) -> list[int]:
     count is 0.)
     """
     return _f(*_net_orders(gog), N)
+
+
+def _not_integral(error: type[Exception], name: str, num, den: int) -> Exception:
+    """error("name = num/den is not an integer"), num/den in lowest terms."""
+    from fractions import Fraction  # only error messages need it here
+
+    return error(f"{name} = {Fraction(num, den)} is not an integer")
 
 
 def _scale(ratios: list[tuple[int, int]]) -> int:
@@ -187,11 +198,7 @@ def _f(m: int, net: dict[int, int], N: int) -> list[int]:
             val -= a[u] * f[lam - u - 1]
         n, rem = divmod(val, D)
         if rem:
-            from fractions import Fraction
-
-            raise NonIntegralCount(
-                f"f_{lam} = {Fraction(val, D) * K**lam} is not an integer"
-            )
+            raise _not_integral(NonIntegralCount, f"f_{lam}", val * K**lam, D)
         if n < 0 or (mu >= 1 and n == 0):
             raise NonPositiveCount(f"f_{lam} = {n * K**lam} with free rank {mu}")
         f.append(n)
@@ -210,11 +217,7 @@ def _riccati(m: int, mu: int, f: list[int], N: int) -> None:
     theta2 = m * m if mu == 2 else 0
     theta1, rem = divmod(m * f[1], f[0]) if mu else (0, 0)
     if rem:
-        from fractions import Fraction
-
-        raise NonIntegralTheta(
-            f"theta_1 = {Fraction(m * f[1], f[0])} is not an integer"
-        )
+        raise _not_integral(NonIntegralTheta, "theta_1", m * f[1], f[0])
     for lam in range(len(f), N):
         # sum_{u=1}^{lam-1} f_u f_{lam-u}: each product u < lam-u once,
         # doubled, and the square at u = lam/2
@@ -225,11 +228,7 @@ def _riccati(m: int, mu: int, f: list[int], N: int) -> None:
         val = (theta1 + theta2 * (lam - 1)) * f[-1] + theta2 // m * conv
         n, rem = divmod(val, m)
         if rem:
-            from fractions import Fraction
-
-            raise NonIntegralCount(
-                f"f_{lam + 1} = {Fraction(val, m)} is not an integer"
-            )
+            raise _not_integral(NonIntegralCount, f"f_{lam + 1}", val, m)
         f.append(n)
 
 
@@ -248,8 +247,9 @@ def theta_coeffs(gog: GraphOfGroups, N: int | None = None) -> tuple[int, ...]:
     T(0..u) alone. Given N, only theta_0..theta_{min(N-1, mu)} are built,
     from T(0..min(N-1, mu)); they equal that prefix of the full tuple.
     ode_check(gog, theta, N) reads no more than these N. N < 1 raises
-    ValueError. T(j) is formed level by level: the k sharing an exponent e
-    are multiplied first, as prod_k (j*m + k), and raised to e once.
+    ValueError, and m over _MAX_THETA_M raises TooLarge. T(j) is formed
+    level by level: the k sharing an exponent e are multiplied first, as
+    prod_k (j*m + k), and raised to e once.
 
     Since m*(j+1) = j*m + m, the prefactor is one more power of the k = m
     factor. For genuine data that lifts the lone negative exponent
@@ -267,6 +267,8 @@ def theta_coeffs(gog: GraphOfGroups, N: int | None = None) -> tuple[int, ...]:
 
 def _theta(m: int, net: dict[int, int], N: int | None) -> tuple[int, ...]:
     """theta_coeffs on the type (m, c)."""
+    if m > _MAX_THETA_M:  # before the m exponents are listed
+        raise TooLarge(f"a {_digits(m)}-digit m is over theta's cap of {_MAX_THETA_M}")
     mu = _rank(m, net)
     top = mu if N is None else min(N - 1, mu)
     # exps[k-1] = zeta_{gcd(m,k)}: c_d, for d | m, is added at each multiple k of d
@@ -306,11 +308,7 @@ def _theta(m: int, net: dict[int, int], N: int | None) -> tuple[int, ...]:
             work = list(map(operator.sub, work[1:], work))
         val, rem = divmod(work[0], factorial)
         if rem:
-            from fractions import Fraction
-
-            raise NonIntegralTheta(
-                f"theta_{u} = {Fraction(work[0], factorial)} is not an integer"
-            )
+            raise _not_integral(NonIntegralTheta, f"theta_{u}", work[0], factorial)
         theta.append(int(val))
     return tuple(theta)
 

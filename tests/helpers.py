@@ -25,7 +25,7 @@ from vfree.errors import (
     UnknownClass,
     WrongRank,
 )
-from vfree.gog import GraphOfGroups
+from vfree.gog import GraphOfGroups, NormalizedGog
 from vfree.graph import SpanningTree, spanning_tree
 from vfree.invariants import (
     TypeVector,
@@ -113,6 +113,22 @@ def euler_char_direct(gog: GraphOfGroups) -> Fraction:
     for e in gog.graph.orientation_reps():
         chi -= Fraction(1, gog.edge_order[e])
     return chi
+
+
+def structural_vii_direct(ngog: NormalizedGog) -> bool:
+    """Criterion (vii) read off the graph: large unless the normalized datum
+    is a bare vertex, one loop whose edge group is the whole vertex group,
+    or one edge amalgamating two index-2 subgroups. The reference for
+    ``largeness_report``, which reads the rank <= 1 rows of ``_PATTERNS``."""
+    gog = ngog.gog
+    g = gog.graph
+    geom = g.orientation_reps()
+    if len(geom) != 1:
+        return len(geom) >= 2
+    e = geom[0]
+    s = gog.edge_order[e]
+    a = gog.vertex_order[g.origin[e]] // s, gog.vertex_order[g.terminus[e]] // s
+    return a[0] >= 2 if g.is_loop(e) else a != (2, 2)
 
 
 def totient(n: int) -> int:

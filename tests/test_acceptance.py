@@ -18,6 +18,7 @@ from helpers import (
     euler_from_type,
     hnn_loop,
     invariant_signature,
+    structural_vii_direct,
     terminal_data_all_orders,
     trivial_tree_half_edges,
 )
@@ -26,6 +27,8 @@ from vfree.classify import Label, classify, largeness_report
 from vfree.counting import f_series, f_series_rank2, g_series
 from vfree.graph import spanning_tree
 from vfree.invariants import (
+    _chi,
+    _net_orders,
     free_rank,
     type_vector,
 )
@@ -188,6 +191,9 @@ def test_criterion_10_largeness_equivalence(random_corpus, normalized_corpus):
     for gog, ngog in zip(random_corpus, normalized_corpus):
         rep = largeness_report(ngog, 15)
         assert rep.chi_negative == rep.rank_ge_2 == rep.structural_vii
+        # against the three-case rule on the graph and the Fraction chi
+        assert rep.structural_vii == structural_vii_direct(ngog)
+        assert rep.chi_negative == (_chi(_net_orders(gog)[1]) < 0)
         assert rep.f_strictly_increasing_prefix == (free_rank(gog) >= 2)
     report(10, f"largeness criteria equivalent on all {RANDOM_COUNT} data")
 

@@ -17,6 +17,7 @@ from helpers import (
     segment,
     segment_with_loop,
     small_gogs,
+    structural_vii_direct,
     triple_c2,
 )
 from vfree.classify import (
@@ -302,6 +303,21 @@ class TestLargeness:
                     assert rep.chi_negative == rep.rank_ge_2 == rep.structural_vii
                     seen += 1
         assert seen == 407
+
+    def test_references_agree_on_every_order_12_row(self):
+        # the three-case rule on the graph and the Fraction chi, against the
+        # _PATTERNS rows and the integer index sums that largeness_report reads
+        seen = Counter()
+        for vertex_orders, edge_specs in _shape_data(12):
+            gog = build_gog(vertex_orders, edge_specs)
+            ngog, _ = normalize(gog)
+            assert ngog.gog == gog
+            rep = largeness_report(ngog, 2)
+            assert rep.structural_vii == structural_vii_direct(ngog)
+            assert rep.chi_negative == (_chi(_net_orders(gog)[1]) < 0)
+            seen[rep.structural_vii] += 1
+        # 12 bare vertices, 12 full loops and 6 segments of indices (2, 2)
+        assert seen == {True: 2242, False: 30}
 
     def test_structural_on_non_tree_multivertex(self):
         rep = largeness_report(normalize(double_edge(4, 2, 4, 4))[0], 6)

@@ -39,6 +39,13 @@ COMPOSITE_LOOPS = "vertex v 963761198400\n" + "".join(
     f"edge l{i} v v 1\n" for i in range(5000)
 )
 BAD_DIVISIBILITY = "vertex a 2\nvertex b 3\nedge s a b 2\n"
+NOT_LARGE = (
+    "chi_negative=false\nrank_ge_2=false\nstructural=false\n"
+    "f_strictly_increasing=false (prefix 15)\n"
+    "ends=implied-equivalent (not computed)\n"
+    "pride_preorder=implied-equivalent (not computed)\n"
+    "fast_subgroup_growth=implied-equivalent (not computed)\n"
+)
 DIVISIBILITY_ERROR = "edge s: order 2 does not divide order 3 at vertex b"
 LONG_ID = "x" * 5000
 LONG_VERTEX = f"vertex {LONG_ID} 3\nvertex b 2\nedge s b {LONG_ID} 2\n"
@@ -498,14 +505,11 @@ class TestClassify:
 
 class TestLargeness:
     def test_dihedral(self, gog_file, capsys):
-        code, out, _ = run(capsys, "largeness", gog_file(DIHEDRAL))
-        assert code == 0
-        lines = out.splitlines()
-        assert "chi_negative=false" in lines
-        assert "rank_ge_2=false" in lines
-        assert "structural=false" in lines
-        assert any(line.startswith("f_strictly_increasing=false") for line in lines)
-        assert "ends=implied-equivalent (not computed)" in lines
+        # one datum of each non-large class, FINITE, R1_I and R1_II (the
+        # dihedral), which no largeness input of cli_bytes.json is
+        for text in ("vertex v 6\n", "vertex v 6\nedge l v v 6\n", DIHEDRAL):
+            code, out, _ = run(capsys, "largeness", gog_file(text))
+            assert (code, out) == (0, NOT_LARGE)
 
     def test_c2c3_with_prefix(self, gog_file, capsys):
         code, out, _ = run(capsys, "largeness", "--prefix", "6", gog_file(C2C3))

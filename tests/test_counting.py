@@ -41,6 +41,7 @@ from vfree.errors import (
     NonIntegralCount,
     NonIntegralTheta,
     NonPositiveCount,
+    TooLarge,
     UnknownClass,
     WrongRank,
 )
@@ -482,6 +483,21 @@ class TestTheta:
             theta_coeffs(corrupt)
         assert str(exc.value) == "NonIntegralTheta: theta_0 = 1/6 is not an integer"
 
+    def test_huge_m_is_too_large_before_its_exponents_are_listed(self):
+        # m = 6*10^12 exponents would be a bare MemoryError
+        huge = segment(2 * 10**12, 10**12, 3 * 10**12)
+        with pytest.raises(TooLarge) as exc:
+            theta_coeffs(huge)
+        assert str(exc.value) == "TooLarge: a 13-digit m is over theta's cap of 1048576"
+
+    def test_cap_admits_m_up_to_it(self, monkeypatch):
+        full = theta_coeffs(c2_star_c3())  # m = 6
+        monkeypatch.setattr(counting, "_MAX_THETA_M", 6)
+        assert theta_coeffs(c2_star_c3()) == full
+        monkeypatch.setattr(counting, "_MAX_THETA_M", 5)
+        with pytest.raises(TooLarge):
+            theta_coeffs(c2_star_c3())
+
     @given(small_gogs())
     @settings(max_examples=40, deadline=None)
     def test_ode_recurrence_holds(self, gog):
@@ -757,7 +773,7 @@ class TestOneDerivationPerCall:
         assert calls == {"_net_orders": 2, "m_gamma": 2}
 
     def test_largeness_command_derives_twice(self, calls, capsys):
-        # once for chi and mu in largeness_report, and once in the f_series
+        # once for mu and m in largeness_report, and once in the f_series
         # it calls for the f prefix
         assert cli.main(["largeness", str(INPUTS / "big.gog")]) == 0
         assert capsys.readouterr().out.startswith("chi_negative=true\n")

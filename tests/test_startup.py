@@ -54,6 +54,8 @@ FRACTIONS = {"invariants", "count --g"}
         ("classify", ["vfree.classify", "vfree.invariants", "vfree.normalize"]),
         ("count", ["vfree.counting", "vfree.invariants"]),
         ("count --g", ["vfree.counting", "vfree.invariants"]),
+        ("largeness", ["vfree.classify", "vfree.counting", "vfree.invariants",
+                       "vfree.normalize"]),
     ],
 )
 def test_subcommand_loads_only_what_it_runs(command, extra):
