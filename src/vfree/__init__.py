@@ -27,7 +27,7 @@ _EXPORTS = {
         "Graph", "build_graph", "is_connected", "orient_from_root", "spanning_tree",
     ),
     "invariants": ("free_rank", "m_gamma"),
-    "normalize": ("contract_edge", "normalize"),
+    "normalize": ("normalize",),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -20,9 +20,10 @@ from collections import Counter
 from enum import Enum
 
 from .errors import UnclassifiableShape
-from .gog import GraphOfGroups, NormalizedGog
-from .graph import Record
+from .gog import GraphOfGroups
+from .graph import BAR_SUFFIX, Record, _reach
 from .invariants import _net_orders, _rank
+from .normalize import NormalizedGog
 
 
 class Label(Enum):
@@ -133,21 +134,17 @@ def _walk(ngog: NormalizedGog) -> tuple[tuple[str, ...], tuple[str, ...]]:
     tree leaf that carries no loop: with one tree edge its origin, else its
     terminus; with more, the first in ``g.vertices`` order. With no tree
     edge it starts at the only vertex. Rank <= 2 trees are paths."""
-    g = ngog.gog.graph
-    ends = {e: (g.origin[e], g.terminus[e]) for e in g.orientation_reps()}
-    path = {e: vw for e, vw in ends.items() if e in ngog.tree.tree_edges}
-    rest = tuple(e for e in ends if e not in path)
-    looped = {ends[e][0] for e in rest if g.is_loop(e)}
-    degree = Counter(v for vw in path.values() for v in vw)
-    starts = next(iter(path.values())) if len(path) == 1 else g.vertices
+    g, tree_edges = ngog.gog.graph, ngog.tree.tree_edges
+    rest = tuple(e for e in g.orientation_reps() if e not in tree_edges)
+    looped = {g.origin[e] for e in rest if g.is_loop(e)}
+    degree = Counter(g.origin[e] for e in tree_edges)
+    tree = sorted(tree_edges)  # a lone tree edge's name, then name~
+    starts = (g.origin[tree[0]], g.terminus[tree[0]]) if len(tree) == 2 else g.vertices
     # with no tree edge no vertex is a leaf, and the default is the only one
     v = next((u for u in starts if degree[u] == 1 and u not in looped), g.vertices[0])
-    witness = [v]
-    while path:
-        e = next(e for e, vw in path.items() if v in vw)
-        o, t = path.pop(e)
-        v = t if v == o else o
-        witness += (e, v)
+    witness = [v]  # from a leaf, a search of a path meets it in path order
+    for w, e in [*_reach(g, v, tree_edges).items()][1:]:
+        witness += (e.removesuffix(BAR_SUFFIX), w)
     return (*witness, *rest), (*witness[1::2], *rest)
 
 

@@ -16,7 +16,8 @@ geometric edges, has a half-edge whose ``~`` mate is missing or whose
 origin is not a vertex, or has an edge order that does not divide an
 endpoint order raises a subclass of ``InvalidGog``, whose message names
 the vertex, edge or half-edge at fault. Every datum in hand is therefore
-valid, and no entry point re-checks it.
+valid, and no entry point re-checks it. This module holds the datum only:
+the trivial-edge rule and the contraction pass live in ``normalize``.
 
 Text format (UTF-8; a line ends at LF, CR LF or CR only; '#' starts a
 comment; blank lines are ignored)::
@@ -36,7 +37,6 @@ from __future__ import annotations
 import io
 import re
 import sys
-from collections.abc import Iterator
 
 from .errors import (
     BadHalfEdgePair,
@@ -44,15 +44,13 @@ from .errors import (
     DivisibilityViolation,
     EmptyGraph,
     GogSyntaxError,
-    NotNormalized,
     OrderKeysMismatch,
     TooLarge,
     cut,
     echo,
 )
 from .graph import (
-    BAR_SUFFIX, Graph, Record, SpanningTree, _reach, _unreached, build_graph,
-    is_connected,
+    BAR_SUFFIX, Graph, Record, _reach, _unreached, build_graph, is_connected,
 )
 
 # ASCII decimal digits only: int() would also take "1_2", "+1" and "٣"
@@ -77,40 +75,6 @@ class GraphOfGroups(Record):
         """The order of half-edge e: that of its geometric edge."""
         orders = self.edge_order
         return orders[e] if e in orders else orders[self.graph.bar(e)]
-
-
-class NormalizedGog(Record):
-    """A datum whose spanning tree has no trivial edges.
-
-    Along every tree half-edge the edge order is strictly smaller than the
-    order at its terminus, i.e. no edge-group embedding along the tree is
-    onto. Construction raises ``NotNormalized`` on ``find_trivial_edge``.
-    """
-
-    gog: GraphOfGroups
-    tree: SpanningTree
-
-    def __post_init__(self) -> None:
-        if (e := find_trivial_edge(self.gog, self.tree)) is not None:
-            raise NotNormalized(
-                f"tree half-edge {echo(e)} has edge order "
-                f"{self.gog.order(e)} >= terminus order"
-            )
-
-
-def _trivial_edges(gog: GraphOfGroups, tree: SpanningTree) -> Iterator[str]:
-    """The tree half-edges whose order equals (so, as it divides it, is at
-    least) the order at their terminus, in ascending id order."""
-    g = gog.graph
-    for e in sorted(tree.tree_edges):
-        if gog.order(e) == gog.vertex_order[g.terminus[e]]:
-            yield e
-
-
-def find_trivial_edge(gog: GraphOfGroups, tree: SpanningTree) -> str | None:
-    """The first of ``_trivial_edges``, or None. Both half-edges of a pair
-    are scanned, so an onto embedding at either endpoint is found."""
-    return next(_trivial_edges(gog, tree), None)
 
 
 def check_valid(gog: GraphOfGroups) -> None:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 from hypothesis import strategies as st
@@ -25,7 +26,7 @@ from vfree.errors import (
     UnknownClass,
     WrongRank,
 )
-from vfree.gog import GraphOfGroups, NormalizedGog
+from vfree.gog import GraphOfGroups
 from vfree.graph import SpanningTree, spanning_tree
 from vfree.invariants import (
     TypeVector,
@@ -37,7 +38,7 @@ from vfree.invariants import (
     m_gamma,
     type_vector,
 )
-from vfree.normalize import contract_edge, find_trivial_edge
+from vfree.normalize import NormalizedGog, contract_edge, find_trivial_edge
 from vfree.oracle import random_gog
 
 
@@ -129,6 +130,27 @@ def structural_vii_direct(ngog: NormalizedGog) -> bool:
     s = gog.edge_order[e]
     a = gog.vertex_order[g.origin[e]] // s, gog.vertex_order[g.terminus[e]] // s
     return a[0] >= 2 if g.is_loop(e) else a != (2, 2)
+
+
+def walk_direct(ngog: NormalizedGog) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """(witness, its edges) by walking the tree path edge by edge, from the
+    leaf that ``classify._walk`` documents. The reference for ``_walk``,
+    which reads the path off a breadth-first search from that leaf."""
+    g = ngog.gog.graph
+    ends = {e: (g.origin[e], g.terminus[e]) for e in g.orientation_reps()}
+    path = {e: vw for e, vw in ends.items() if e in ngog.tree.tree_edges}
+    rest = tuple(e for e in ends if e not in path)
+    looped = {ends[e][0] for e in rest if g.is_loop(e)}
+    degree = Counter(v for vw in path.values() for v in vw)
+    starts = next(iter(path.values())) if len(path) == 1 else g.vertices
+    v = next((u for u in starts if degree[u] == 1 and u not in looped), g.vertices[0])
+    witness = [v]
+    while path:
+        e = next(e for e, vw in path.items() if v in vw)
+        o, t = path.pop(e)
+        v = t if v == o else o
+        witness += (e, v)
+    return (*witness, *rest), (*witness[1::2], *rest)
 
 
 def totient(n: int) -> int:

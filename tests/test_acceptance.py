@@ -21,9 +21,10 @@ from helpers import (
     structural_vii_direct,
     terminal_data_all_orders,
     trivial_tree_half_edges,
+    walk_direct,
 )
 from vfree import properties
-from vfree.classify import Label, classify, largeness_report
+from vfree.classify import Label, _walk, classify, largeness_report
 from vfree.counting import f_series, f_series_rank2, g_series
 from vfree.graph import spanning_tree
 from vfree.invariants import (
@@ -185,6 +186,16 @@ def test_criterion_09_classification(shapes12):
         f"no unclassifiable shapes; class-III index pairs are exactly "
         f"(2,3),(3,3),(2,4); recurrences agree on {rank2_count} rank-2 data",
     )
+
+
+def test_classify_walk_agrees_with_the_direct_walk(normalized_corpus):
+    # the witness path read off one search, against the edge-by-edge walk
+    walked = 0
+    for ngog in normalized_corpus:
+        if free_rank(ngog.gog) <= 2:
+            assert _walk(ngog) == walk_direct(ngog)
+            walked += 1
+    assert walked == 91  # 40 of rank 0, 27 of rank 1, 24 of rank 2
 
 
 def test_criterion_10_largeness_equivalence(random_corpus, normalized_corpus):

@@ -18,12 +18,14 @@ from helpers import (
     segment_with_loop,
     small_gogs,
     structural_vii_direct,
+    walk_direct,
     triple_c2,
 )
 from vfree.classify import (
     _PATTERNS,
     ClassificationReport,
     Label,
+    _walk,
     classify,
     largeness_report,
 )
@@ -159,6 +161,21 @@ class TestClassifyShapes:
                 assert Counter(w) == Counter(g.vertices) + Counter(g.orientation_reps())
                 swept += 1
         assert swept == 4 * 50
+
+    def test_walk_agrees_with_the_direct_walk(self):
+        # the search from the leaf against the edge-by-edge path walk, on
+        # every rank <= 2 row at order 12 and on a relabeled copy of each
+        rng = random.Random(35)
+        rows = 0
+        for vertex_orders, edge_specs in _shape_data(12):
+            gog = build_gog(vertex_orders, edge_specs)
+            if free_rank(gog) > 2:
+                continue
+            for data in (gog, relabeled(rng, vertex_orders, edge_specs)):
+                ngog = normalize(data)[0]
+                assert _walk(ngog) == walk_direct(ngog)
+            rows += 1
+        assert rows == 77
 
 
 class TestExhaustiveness:

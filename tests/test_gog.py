@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 
-from helpers import dihedral, free_bouquet, seeded_random_data, small_gogs
+from helpers import c2_star_c3, dihedral, free_bouquet, seeded_random_data, small_gogs
 from vfree.errors import (
     BadHalfEdgePair,
     DanglingVertexRef,
@@ -23,14 +23,13 @@ from vfree.errors import (
 )
 from vfree.gog import (
     GraphOfGroups,
-    NormalizedGog,
     build_gog,
     check_valid,
     parse_gog,
     serialize_gog,
 )
-from vfree.graph import Graph, build_graph, spanning_tree
-from vfree.normalize import contract_edge, find_trivial_edge
+from vfree.graph import Graph, SpanningTree, build_graph, spanning_tree
+from vfree.normalize import NormalizedGog, contract_edge, find_trivial_edge
 from vfree.oracle import exhaustive_rank2_shapes
 
 DIHEDRAL_TEXT = "vertex a 2\nvertex b 2\nedge s a b 1\n"
@@ -373,6 +372,35 @@ class TestNormalizedGog:
         with pytest.raises(NotNormalized):
             NormalizedGog(gog, spanning_tree(gog.graph, "a"))
 
+    @pytest.mark.parametrize(
+        "make_tree",
+        [
+            # the tree of another datum's graph, whose half-edges c2c3 lacks
+            lambda g: spanning_tree(
+                build_gog({"x": 4, "y": 2}, [("t", "x", "y", 2)]).graph, "x"
+            ),
+            # no tree edges, and a root that is not a vertex
+            lambda g: SpanningTree(g, frozenset(), "q"),
+            # no tree edges from a vertex: b is not reached
+            lambda g: SpanningTree(g, frozenset(), "a"),
+            # one half-edge of the pair, and an id that is not a half-edge
+            lambda g: SpanningTree(g, frozenset({"s", "z"}), "a"),
+        ],
+        ids=["other-graph", "unknown-root", "not-spanning", "not-paired"],
+    )
+    def test_tree_that_does_not_span_its_graph_raises(self, make_tree):
+        gog = c2_star_c3()
+        with pytest.raises(NotNormalized) as exc:
+            NormalizedGog(gog, make_tree(gog.graph))
+        assert exc.value.message == "tree is not a spanning tree of the datum's graph"
+
+    def test_tree_of_an_equal_graph_is_accepted(self):
+        gog = c2_star_c3()
+        twin = build_gog({"a": 2, "b": 3}, [("s", "a", "b", 1)])
+        assert twin.graph is not gog.graph
+        ngog = NormalizedGog(gog, spanning_tree(twin.graph, "b"))
+        assert ngog.tree.root == "b"
+
     def test_raises_exactly_on_the_trivial_edge_found(self):
         # every root of every shape and of seeded random data: the check
         # fails iff find_trivial_edge finds an edge, and names that edge
@@ -394,7 +422,8 @@ class TestNormalizedGog:
         # both half-edges of s are onto; the smaller id is named under every
         # string hash seed
         script = (
-            "from vfree.gog import NormalizedGog, build_gog\n"
+            "from vfree.gog import build_gog\n"
+            "from vfree.normalize import NormalizedGog\n"
             "from vfree.graph import spanning_tree\n"
             "g = build_gog({'a': 2, 'b': 2}, [('s', 'a', 'b', 2)])\n"
             "try:\n"

@@ -9,10 +9,10 @@ import pytest
 from helpers import c2_star_c3, hnn_loop
 from vfree.classify import ClassificationReport, LargenessReport, classify
 from vfree.errors import DivisibilityViolation, NotNormalized
-from vfree.gog import GraphOfGroups, NormalizedGog, build_gog
+from vfree.gog import GraphOfGroups, build_gog
 from vfree.graph import Graph, Record, SpanningTree, build_graph, spanning_tree
 from vfree.invariants import TypeVector, type_vector
-from vfree.normalize import ContractionStep, normalize
+from vfree.normalize import ContractionStep, NormalizedGog, normalize
 
 
 def samples():

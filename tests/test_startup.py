@@ -4,6 +4,7 @@ Each check runs in its own subprocess, because this test session has
 already imported every vfree module.
 """
 
+import importlib
 import json
 import os
 import re
@@ -111,7 +112,12 @@ def test_dir_lists_every_export():
     import vfree
 
     assert set(vfree.__all__) <= set(vfree.__dir__())
-    assert len(vfree.__all__) == 19
+    assert len(vfree.__all__) == 18
+    # one-step contraction is read from its module, whose name the package
+    # gives to the `normalize` function
+    assert "contract_edge" not in vfree.__all__
+    assert not hasattr(vfree, "contract_edge")
+    assert callable(importlib.import_module("vfree.normalize").contract_edge)
 
 
 def test_readme_library_snippets_run():
