@@ -20,8 +20,9 @@ and g is built from g_0 = 1 by the term ratio
 derived from the orders alone and multiplied once, on bare ints, by _g. Its
 generating function G(z) satisfies an order-mu linear ODE with integer
 coefficients theta_0..theta_mu, built from the type's terms T(j) grouped
-by k. ode_check tests the ratio above, grouped by d and never read by
-theta_coeffs, against them, and so checks g without building it.
+by gcd(m, k). ode_check tests the ratio above, grouped by multiples of d
+and never read by theta_coeffs, against them, so checks g without building
+it. Each side memoises its products of m, built once per m of a walk.
 All arithmetic is exact; g_l is a Fraction and f_l an arbitrary-precision
 integer. Each public kernel derives the type (m, c) once, by
 ``invariants._net_orders``, and mu from it by ``invariants._rank``; the
@@ -82,7 +83,8 @@ from __future__ import annotations
 
 import math
 import operator
-from itertools import accumulate
+from functools import lru_cache
+from itertools import accumulate, compress, repeat
 
 from .errors import (
     MissingParam,
@@ -94,31 +96,34 @@ from .errors import (
     WrongRank,
 )
 from .gog import GraphOfGroups
-from .invariants import _digits, _net_orders, _rank
+from .invariants import _digits, _factorize, _net_orders, _rank, divisors
 
-# the largest m _theta lists exponents for: 53 ms and 8.4 MB there at rank 2
+# _theta's caps on m, and on its work (top + 1) * mu * (mu + top + 1): a term
+# is a product of mu factors and top forward differences of it follow
 _MAX_THETA_M = 1 << 20
+_MAX_THETA_WORK = 1 << 31
+
+
+@lru_cache(maxsize=16)
+def _ratio_blocks(m: int, d: int, N: int) -> tuple[int, ...]:
+    """g's order-d ratio factors d^(m/d) * (l*m/d)! / ((l-1)*m/d)!, l = 1..N."""
+    q = m // d
+    power = d**q
+    return tuple(power * math.perm(lam * q, q) for lam in range(1, N + 1))
 
 
 def _g_ratios(m: int, net: dict[int, int], N: int) -> list[tuple[int, int]]:
     """(p_l, q_l) with g_l / g_{l-1} = p_l / q_l for l = 1..N, unreduced: the
     one statement of the term ratio. It reads the orders, never theta, and
-    not the orientation, since edge orders agree on {e, bar(e)}.
-    """
-    # per order d with c_d != 0: (m/d, d^(m/d), c_d)
-    steps = [(m // d, d ** (m // d), c) for d, c in net.items()]
-    out = []
-    for lam in range(1, N + 1):
-        num = den = 1
-        for q, power, c in steps:
-            # (lam*q)! / ((lam-1)*q)!, CPython's C product tree
-            block = power * math.perm(lam * q, q)
-            if c > 0:
-                num *= block**c
-            else:
-                den *= block**-c
-        out.append((num, den))
-    return out
+    not the orientation, since edge orders agree on {e, bar(e)}."""
+    num = den = [1] * N  # rebound below, never changed in place
+    for d, c in net.items():
+        powers = map(pow, _ratio_blocks(m, d, N), repeat(abs(c)))
+        if c > 0:
+            num = list(map(operator.mul, num, powers))
+        else:
+            den = list(map(operator.mul, den, powers))
+    return list(zip(num, den))
 
 
 def g_series(gog: GraphOfGroups, N: int) -> list[Fraction]:
@@ -235,9 +240,8 @@ def _riccati(m: int, mu: int, f: list[int], N: int) -> None:
 def theta_coeffs(gog: GraphOfGroups, N: int | None = None) -> tuple[int, ...]:
     """Integer ODE coefficients theta_0..theta_mu from the type data.
 
-    Reads only the net orders (m, c) and mu; m is not factorized, since
-    zeta_{gcd(m,k)} = sum_{d | gcd(m,k)} c_d is built by adding each c_d
-    with d | m at the multiples k of d.
+    Reads only the net orders (m, c), mu, and m's divisors and primes, by
+    invariants._factorize on an m of at most 2^20.
 
     theta_u = (1/u!) * sum_{j=0}^{u} (-1)^(u-j) * C(u,j) * m * (j+1)
               * prod_{k=1}^{m} (j*m + k)^zeta_{gcd(m,k)}.
@@ -247,9 +251,13 @@ def theta_coeffs(gog: GraphOfGroups, N: int | None = None) -> tuple[int, ...]:
     T(0..u) alone. Given N, only theta_0..theta_{min(N-1, mu)} are built,
     from T(0..min(N-1, mu)); they equal that prefix of the full tuple.
     ode_check(gog, theta, N) reads no more than these N. N < 1 raises
-    ValueError, and m over _MAX_THETA_M raises TooLarge. T(j) is formed
-    level by level: the k sharing an exponent e are multiplied first, as
-    prod_k (j*m + k), and raised to e once.
+    ValueError; m over _MAX_THETA_M, or (top + 1) * mu * (mu + top + 1)
+    over _MAX_THETA_WORK (top = min(N-1, mu)), raises TooLarge. T(j) is
+    formed class by class, as the product over g | m of B_g(j)^zeta'_g:
+    B_g(j) = prod (j*m + k) over the k with gcd(m, k) = g, that is k = g*i
+    with i coprime to m/g (sieved by m's primes), and zeta'_g = zeta_g +
+    [g = m]. The blocks depend on m alone; those of the last m are kept,
+    so a walk over types in ascending m builds them once per m.
 
     Since m*(j+1) = j*m + m, the prefactor is one more power of the k = m
     factor. For genuine data that lifts the lone negative exponent
@@ -265,41 +273,42 @@ def theta_coeffs(gog: GraphOfGroups, N: int | None = None) -> tuple[int, ...]:
     return _theta(*_net_orders(gog), N)
 
 
+@lru_cache(maxsize=1)
+def _classes(m: int) -> tuple:
+    """m's divisors and primes, and _theta's memo g -> [B_g(0), B_g(1), ...]."""
+    return divisors(m), list(_factorize(m)), {}
+
+
 def _theta(m: int, net: dict[int, int], N: int | None) -> tuple[int, ...]:
     """theta_coeffs on the type (m, c)."""
-    if m > _MAX_THETA_M:  # before the m exponents are listed
+    if m > _MAX_THETA_M:  # before any class is listed
         raise TooLarge(f"a {_digits(m)}-digit m is over theta's cap of {_MAX_THETA_M}")
     mu = _rank(m, net)
     top = mu if N is None else min(N - 1, mu)
-    # exps[k-1] = zeta_{gcd(m,k)}: c_d, for d | m, is added at each multiple k of d
-    exps = [0] * m
-    for d, c in net.items():
-        if m % d == 0:
-            exps[d - 1 :: d] = [e + c for e in exps[d - 1 :: d]]
-    exps[-1] += 1
-    # the k of each nonzero exponent level e, so a term takes one pow per level
-    levels: dict[int, list[int]] = {}
-    for k, e in enumerate(exps, 1):
-        if e:
-            levels.setdefault(e, []).append(k)
-
-    def term(j: int) -> int | Fraction:
-        num = den = 1
-        for e, ks in levels.items():
-            block = math.prod(map((j * m).__add__, ks))
+    if (cost := (top + 1) * mu * (mu + top + 1)) > _MAX_THETA_WORK:  # before any block
+        raise TooLarge(f"theta's work {cost} is over its cap of {_MAX_THETA_WORK}")
+    divs, primes, memo = _classes(m)
+    # T(0..top): the product of B_g(j)^e over the classes g, e = zeta'_g
+    work = [1] * (top + 1)
+    for g in divs:
+        if e := sum(c for d, c in net.items() if g % d == 0) + (g == m):
+            blocks = memo.setdefault(g, [])
+            if len(blocks) <= top:
+                coprime = bytearray(b"\1") * (n := m // g)
+                for p in [p for p in primes if n % p == 0]:
+                    coprime[p - 1 :: p] = bytes(n // p)
+                ks = list(compress(range(g, m + 1, g), coprime))
+                for j in range(len(blocks), top + 1):
+                    blocks.append(math.prod(map((j * m).__add__, ks)))
+            powers = map(pow, blocks, repeat(abs(e)))
             if e > 0:
-                num *= block**e
-            else:
-                den *= block**-e
-        if den == 1:
-            return num
-        from fractions import Fraction
+                work = list(map(operator.mul, work, powers))
+            else:  # corrupt orders only: T(j) is a rational
+                from fractions import Fraction
 
-        return Fraction(num, den)
-
+                work = list(map(Fraction, work, powers))
     # the alternating binomial sum for theta_u is the u-th forward
     # difference of the term sequence at 0, divided by u!
-    work = [term(j) for j in range(top + 1)]
     theta: list[int] = []
     factorial = 1
     for u in range(top + 1):

@@ -77,6 +77,12 @@ class BadHalfEdgePair(InvalidGog):
     code = "BadHalfEdgePair"
 
 
+class BadVertexOrder(InvalidGog):
+    """A vertex order that is not a positive int (a bool is not one)."""
+
+    code = "BadVertexOrder"
+
+
 class DivisibilityViolation(InvalidGog):
     code = "DivisibilityViolation"
 

@@ -12,10 +12,11 @@ endpoint groups.
 
 Constructing a ``GraphOfGroups`` validates it: a datum that is empty,
 disconnected, has an order map whose keys are not exactly its vertices or
-geometric edges, has a half-edge whose ``~`` mate is missing or whose
-origin is not a vertex, or has an edge order that does not divide an
-endpoint order raises a subclass of ``InvalidGog``, whose message names
-the vertex, edge or half-edge at fault. Every datum in hand is therefore
+geometric edges, has a vertex order that is not a positive int, has a
+half-edge whose ``~`` mate is missing or whose origin is not a vertex, or
+has an edge order that does not divide an endpoint order raises a
+subclass of ``InvalidGog``, whose message names the vertex, edge or
+half-edge at fault. Every datum in hand is therefore
 valid, and no entry point re-checks it. This module holds the datum only:
 the trivial-edge rule and the contraction pass live in ``normalize``.
 
@@ -40,6 +41,7 @@ import sys
 
 from .errors import (
     BadHalfEdgePair,
+    BadVertexOrder,
     DanglingVertexRef,
     DivisibilityViolation,
     EmptyGraph,
@@ -79,8 +81,10 @@ class GraphOfGroups(Record):
 
 def check_valid(gog: GraphOfGroups) -> None:
     """Raise the error of the first violated condition, checked in order:
-    EmptyGraph, OrderKeysMismatch, BadHalfEdgePair, DivisibilityViolation,
-    NotConnected. The edge-order keys are the geometric edges, named by
+    EmptyGraph, OrderKeysMismatch, BadVertexOrder, BadHalfEdgePair,
+    DivisibilityViolation, NotConnected. BadVertexOrder names the first
+    vertex, in the graph's order, whose order is not a positive int; a
+    bool is not one. The edge-order keys are the geometric edges, named by
     ``orientation_reps``; OrderKeysMismatch names the first missing or
     extra id in sorted order, vertices before edges. BadHalfEdgePair needs
     each half-edge e to have its mate ``bar(e)`` in the graph, with
@@ -103,6 +107,14 @@ def check_valid(gog: GraphOfGroups) -> None:
             where = "has no order" if bad in known else "is not in the graph"
             raise OrderKeysMismatch(f"{kind} {cut(bad)} {where}")
 
+    for v in g.vertices:
+        if type(n := gog.vertex_order[v]) is not int:  # a bool is not an int here
+            kind = type(n).__name__
+            raise BadVertexOrder(f"vertex {cut(v)}: order is a {kind}, not an int")
+        if n < 1:  # str() of an int past 4300 digits would raise
+            shown = n if n > -(10**18) else "below -10^18"
+            raise BadVertexOrder(f"vertex {cut(v)}: order {shown} is not positive")
+
     bar, half_edges = g.bar, set(g.half_edges)
     for e in g.half_edges:
         # bar(mate) != e only for an id ending in '~~'
@@ -116,7 +128,7 @@ def check_valid(gog: GraphOfGroups) -> None:
         s = gog.edge_order[e]
         for v in (g.origin[e], g.terminus[e]):
             n = gog.vertex_order[v]
-            if s < 1 or n < 1 or n % s != 0:
+            if s < 1 or n % s != 0:
                 raise DivisibilityViolation(
                     f"edge {cut(e)}: order {s} does not divide order {n} "
                     f"at vertex {cut(v)}"

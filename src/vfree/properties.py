@@ -6,9 +6,9 @@ The checks re-derive each property from the counting series and the brute
 force oracles; the ode suite tests g's term ratio, read off the orders,
 against theta, built from T(j), and builds no g. theta, g and f depend
 on a datum only through its type (m, c), so the ode and growth suites
-walk the rows of their shape corpus, key each row by the type read off
-its orders, check each type once on the counting kernels of the type,
-and count each row by its type's verdict; they build no corpus datum.
+share one walk of their shape corpus, counting its rows by the type read off
+their orders; they check each type once, in ascending m so that the kernels'
+per-m memos hit, count each row by its type's verdict and build no datum.
 The growth suite reads the rank off the type and checks rank-2 types
 only, and it finds its one exception by comparing types with that of
 C2*C2*C2, so no suite normalizes. They never call a predictor (the library's
@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
+from functools import lru_cache
 from itertools import chain
 
 from .gog import build_gog
@@ -48,19 +50,23 @@ def _key_type(key):
     return key[0], dict(zip(key[1::2], key[2::2]))
 
 
-def _per_type(rows, check):
-    """(rows seen, rows whose type failed), in one walk over rows
-    (vertex_orders, edge_specs). check(m, c) runs once per type key, on the
-    type alone, so no datum is built; a row whose type's verdict is None is
-    not seen."""
-    verdicts: dict = {}
+@lru_cache(maxsize=1)
+def _corpus(order_bound: int) -> Counter:
+    """The rows of oracle._shape_data(order_bound) counted by type key."""
+    from . import oracle
+
+    return Counter(_row_key(*row) for row in oracle._shape_data(order_bound))
+
+
+def _per_type(keys: Counter, check):
+    """(rows seen, rows whose type failed) of the rows counted in keys, with
+    check(m, c) run once per key, in ascending order; a row whose type's
+    verdict is None is not seen."""
     seen = bad = 0
-    for row in rows:
-        key = _row_key(*row)
-        if key not in verdicts:
-            verdicts[key] = check(*_key_type(key))
-        seen += verdicts[key] is not None
-        bad += verdicts[key] is False
+    for key in sorted(keys):
+        verdict = check(*_key_type(key))
+        seen += keys[key] * (verdict is not None)
+        bad += keys[key] * (verdict is False)
     return seen, bad
 
 
@@ -92,7 +98,7 @@ def suite_convolution(seed: int, bound: int):
 
 
 def suite_ode(seed: int, bound: int):
-    from . import counting, oracle
+    from . import counting
 
     dihedral = ({"a": 2, "b": 2}, [("s", "a", "b", 1)])
     terms = 30
@@ -101,8 +107,8 @@ def suite_ode(seed: int, bound: int):
         # _ode over `terms` ratios reads theta_0..theta_{terms-1} only
         return counting._ode(m, c, counting._theta(m, c, terms), terms)
 
-    rows = chain(oracle._shape_data(min(bound, 8)), (dihedral, _bouquet(2)))
-    seen, bad = _per_type(rows, check)
+    extra = Counter(_row_key(*row) for row in (dihedral, _bouquet(2)))
+    seen, bad = _per_type(_corpus(min(bound, 8)) + extra, check)
     yield (f"ode-recurrence ({seen} data, {terms} terms)", bad == 0, f"{bad} failures")
     th = counting.theta_coeffs(build_gog(*dihedral))
     yield ("ode-dihedral-coefficients (1, 2)", th == (1, 2), f"got {th}")
@@ -128,7 +134,7 @@ def suite_parity(seed: int, bound: int):
 
 
 def suite_growth(seed: int, bound: int):
-    from . import counting, invariants, oracle
+    from . import counting, invariants
 
     # f depends only on the type, so the exception is a type, not a shape
     triple_c2 = _key_type(
@@ -151,7 +157,7 @@ def suite_growth(seed: int, bound: int):
             return not holds[0] and all(holds[1:])
         return all(holds)
 
-    seen, bad = _per_type(oracle._shape_data(8), check)
+    seen, bad = _per_type(_corpus(8), check)
     yield (
         f"growth-bound ({seen} rank-2 data, lambda <= {n})",
         bad == 0 and len(exceptional) == 1,

@@ -22,6 +22,7 @@ from vfree.counting import (
 from vfree.errors import (
     MissingParam,
     NonIntegralCount,
+    NonIntegralTheta,
     NonPositiveCount,
     UnknownClass,
     WrongRank,
@@ -33,6 +34,7 @@ from vfree.invariants import (
     _chi,
     _factorize,
     _net_orders,
+    _rank,
     divisors,
     free_rank,
     m_gamma,
@@ -213,6 +215,67 @@ def g_closed_form(gog: GraphOfGroups, N: int) -> list[tuple[int, int]]:
         for n in vertex_orders:
             k = lam * m // n
             den *= math.factorial(k) * n**k
+        out.append((num, den))
+    return out
+
+
+def theta_levels(m: int, net: dict[int, int], N: int | None) -> tuple[int, ...]:
+    """theta_0..theta_top of the type (m, c) with T(j) formed level by level:
+    zeta'_k = zeta_{gcd(m,k)} (plus 1 at k = m) listed for k = 1..m, the k
+    sharing an exponent e multiplied first, as prod_k (j*m + k), and raised
+    to e once. The reference for ``counting._theta``, which forms T(j) from
+    memoised gcd-class blocks; this one lists every k of every call and
+    memoises nothing. It raises ``_theta``'s NonIntegralTheta message and
+    has neither of its caps."""
+    mu = _rank(m, net)
+    top = mu if N is None else min(N - 1, mu)
+    exps = [0] * m
+    for d, c in net.items():
+        if m % d == 0:
+            exps[d - 1 :: d] = [e + c for e in exps[d - 1 :: d]]
+    exps[-1] += 1
+    levels: dict[int, list[int]] = {}
+    for k, e in enumerate(exps, 1):
+        if e:
+            levels.setdefault(e, []).append(k)
+    work = []
+    for j in range(top + 1):
+        num = den = 1
+        for e, ks in levels.items():
+            block = math.prod(map((j * m).__add__, ks))
+            if e > 0:
+                num *= block**e
+            else:
+                den *= block**-e
+        work.append(num if den == 1 else Fraction(num, den))
+    theta = []
+    factorial = 1
+    for u in range(top + 1):
+        if u:
+            factorial *= u
+            work = [b - a for a, b in zip(work, work[1:])]
+        val, rem = divmod(work[0], factorial)
+        if rem:
+            frac = Fraction(work[0], factorial)
+            raise NonIntegralTheta(f"theta_{u} = {frac} is not an integer")
+        theta.append(int(val))
+    return tuple(theta)
+
+
+def g_ratios_direct(m: int, net: dict[int, int], N: int) -> list[tuple[int, int]]:
+    """The unreduced term ratios (p_l, q_l), l = 1..N, each order's factor
+    d^(m/d) * (l*m/d)! / ((l-1)*m/d)! rebuilt for every l and call. The
+    reference for ``counting._g_ratios``, which reads memoised factors."""
+    out = []
+    for lam in range(1, N + 1):
+        num = den = 1
+        for d, c in net.items():
+            q = m // d
+            block = d**q * math.perm(lam * q, q)
+            if c > 0:
+                num *= block**c
+            else:
+                den *= block**-c
         out.append((num, den))
     return out
 

@@ -112,7 +112,8 @@ def test_criterion_03_parity_theorem():
         "parity-ii-constant (64 terms)",
         "parity-i-constant (64 terms)",
     ]
-    report(3, "odd counts exactly at 2^k - 1 for the alternating classes; all even otherwise")
+    report(3, "III_1 a=(2,3) and III_3 a=(2,4), |S| = 1: odd exactly at 2^k - 1; "
+              "I and II at m = 2: every count even")
 
 
 def test_criterion_04_growth_theorem():

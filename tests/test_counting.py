@@ -1,5 +1,6 @@
 import importlib
 import math
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from helpers import (
     f_series_fractions,
     free_bouquet,
     g_closed_form,
+    g_ratios_direct,
     hnn_loop,
     ode_check_falling,
     ode_holds_on_g,
@@ -23,6 +25,7 @@ from helpers import (
     segment,
     segment_with_loop,
     small_gogs,
+    theta_levels,
     triple_c2,
     type_vector_direct,
 )
@@ -498,6 +501,49 @@ class TestTheta:
         with pytest.raises(TooLarge):
             theta_coeffs(c2_star_c3())
 
+    def test_work_over_its_cap_is_too_large_before_any_block(self):
+        # mu = 4096: work 4097 * 4096 * 8193; this did not end in 60 s before
+        # the cap
+        counting._classes.cache_clear()
+        with pytest.raises(TooLarge) as exc:
+            theta_coeffs(hnn_loop(4096, 1))
+        assert str(exc.value) == (
+            "TooLarge: theta's work 137489289216 is over its cap of 2147483648"
+        )
+        assert counting._classes.cache_info().misses == 0
+
+    @pytest.mark.parametrize(
+        "gog, N",
+        [(free_bouquet(2000), None), (hnn_loop(1 << 18, 1), 2)],
+        ids=["m-1-mu-2000", "m-2^18-two-terms"],
+    )
+    def test_work_cap_bounds_mu_at_any_m(self, gog, N):
+        # under a cap on (top + 1)^2 * m both ran: 1.6 s and 11 s
+        counting._classes.cache_clear()
+        with pytest.raises(TooLarge):
+            theta_coeffs(gog, N)
+        assert counting._classes.cache_info().misses == 0
+
+    def test_work_cap_admits_up_to_it(self, monkeypatch):
+        full = theta_coeffs(c2_star_c3())  # m = 6, mu = 2: work 3 * 2 * 5
+        monkeypatch.setattr(counting, "_MAX_THETA_WORK", 30)
+        assert theta_coeffs(c2_star_c3()) == full
+        assert theta_coeffs(c2_star_c3(), 2) == full[:2]  # work 2 * 2 * 4
+        monkeypatch.setattr(counting, "_MAX_THETA_WORK", 29)
+        with pytest.raises(TooLarge):
+            theta_coeffs(c2_star_c3())
+
+    def test_work_cap_admits_rank_512_and_the_order8_corpus(self):
+        # m = 512 at mu = 512, work 513 * 512 * 1025, still runs
+        theta = theta_coeffs(hnn_loop(512, 1))
+        assert len(theta) == 513
+        assert theta[:8] == theta_levels(512, {1: 1, 512: -1}, 8)
+        # the largest work of the order-8 corpus at N = None, m = 280 at
+        # mu = 430, which the tests build in full
+        mus = [counting._rank(*properties._key_type(key)) for key in corpus_keys(8)]
+        work = max((mu + 1) * mu * (2 * mu + 1) for mu in mus)
+        assert work == 431 * 430 * 861 <= counting._MAX_THETA_WORK
+
     @given(small_gogs())
     @settings(max_examples=40, deadline=None)
     def test_ode_recurrence_holds(self, gog):
@@ -518,6 +564,53 @@ class TestTheta:
     def test_ode_examples(self):
         for gog in (dihedral(), free_bouquet(2), c2_star_c3()):
             assert ode_check(gog, theta_coeffs(gog), 30)
+
+
+def corpus_keys(order_bound):
+    """The distinct type keys of the shape corpus, in ascending order."""
+    return sorted(properties._corpus(order_bound))
+
+
+class TestClassBlocks:
+    """_theta forms T(j) from memoised gcd-class blocks and _g_ratios reads
+    memoised factors; both equal their memo-free references on every type
+    of the order-12 shape corpus, visited in a shuffled order so that the
+    memos are hit and missed at random."""
+
+    def shuffled_types(self, order_bound):
+        keys = corpus_keys(order_bound)
+        random.Random(7).shuffle(keys)
+        return [properties._key_type(key) for key in keys]
+
+    def test_theta_equals_the_level_form(self):
+        types = self.shuffled_types(12)
+        assert len(types) == 1151
+        for m, c in types:
+            assert counting._theta(m, c, 30) == theta_levels(m, c, 30)
+
+    def test_full_theta_equals_the_level_form_on_the_order8_types(self):
+        for m, c in self.shuffled_types(8):
+            assert counting._theta(m, c, None) == theta_levels(m, c, None)
+
+    def test_ratios_equal_the_direct_pairs(self):
+        for m, c in self.shuffled_types(12):
+            assert counting._g_ratios(m, c, 30) == g_ratios_direct(m, c, 30)
+
+    def test_corrupt_orders_raise_as_the_level_form_does(self):
+        # order 2 divides neither vertex order: zeta'_g = -1 at g = 1 and 3
+        net = {2: 2, 1: -1, 3: -1}
+        with pytest.raises(NonIntegralTheta) as expected:
+            theta_levels(3, net, None)
+        with pytest.raises(NonIntegralTheta) as exc:
+            counting._theta(3, net, None)
+        assert str(exc.value) == str(expected.value)
+
+    def test_memos_stay_bounded(self):
+        for m, c in self.shuffled_types(12)[:200]:
+            counting._theta(m, c, 30)
+            counting._g_ratios(m, c, 30)
+        assert counting._classes.cache_info().currsize == 1
+        assert counting._ratio_blocks.cache_info()[2:] == (16, 16)
 
 
 def theta_1_plus_one(th):

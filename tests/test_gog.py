@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from helpers import c2_star_c3, dihedral, free_bouquet, seeded_random_data, small_gogs
 from vfree.errors import (
     BadHalfEdgePair,
+    BadVertexOrder,
     DanglingVertexRef,
     DivisibilityViolation,
     EmptyGraph,
@@ -205,6 +206,34 @@ class TestValidate:
         with pytest.raises(DivisibilityViolation) as exc:
             GraphOfGroups(SEGMENT, {"a": 2, "b": 3}, {"s": 2})
         assert exc.value.message == message
+
+    @pytest.mark.parametrize(
+        "order, message",
+        [
+            (0, "order 0 is not positive"),
+            (-2, "order -2 is not positive"),
+            (-(10**5000), "order below -10^18 is not positive"),
+            ("2", "order is a str, not an int"),
+            (True, "order is a bool, not an int"),
+            (2.0, "order is a float, not an int"),
+        ],
+        ids=["zero", "negative", "huge-negative", "str", "bool", "float"],
+    )
+    def test_vertex_order_must_be_a_positive_int(self, order, message):
+        # each once built a datum on which f_series raised a bare
+        # ZeroDivisionError, ValueError or TypeError
+        with pytest.raises(BadVertexOrder) as exc:
+            build_gog({"a": 2, "b": order}, [("s", "a", "b", 1)])
+        assert isinstance(exc.value, InvalidGog)
+        assert str(exc.value) == f"BadVertexOrder: vertex b: {message}"
+
+    def test_vertex_order_is_checked_before_divisibility(self):
+        with pytest.raises(BadVertexOrder, match="^BadVertexOrder: vertex a: order 0 "):
+            build_gog({"a": 0}, [("l", "a", "a", 1)])
+
+    def test_parse_keeps_its_line_numbered_order_message(self):
+        with pytest.raises(GogSyntaxError, match="^SyntaxError: line 2: order must be positive"):
+            parse_gog("vertex a 2\nvertex b 0\n")
 
     def test_divisibility_violation_names_name_not_its_reverse(self):
         # the origin's order fails here, and the reverse half-edge s~ ends

@@ -12,6 +12,7 @@ from collections import Counter, defaultdict
 
 from helpers import dihedral, free_bouquet
 from vfree import build_gog, counting, oracle, properties
+from vfree.cli import main
 from vfree.invariants import _net_orders, free_rank, m_gamma
 from vfree.oracle import exhaustive_rank2_shapes
 
@@ -163,3 +164,31 @@ class TestStreaming:
             assert all(ok for _, ok, _ in suite(0, bound))
             assert len(refs) == builds
             assert alive == [0] * builds
+
+
+class TestOneWalkAscendingM:
+    """verify all walks the shape corpus once, for ode and growth both, and
+    checks the types in ascending m, so theta's per-m memo misses once per
+    m."""
+
+    def test_memo_misses_once_per_m(self, monkeypatch, capsys):
+        walks = []
+        shape_data = oracle._shape_data
+
+        def counted(order_bound):
+            walks.append(order_bound)
+            return shape_data(order_bound)
+
+        monkeypatch.setattr(oracle, "_shape_data", counted)
+        properties._corpus.cache_clear()
+        counting._classes.cache_clear()
+        assert main(["verify", "all", "--seed", "5"]) == 0
+        assert capsys.readouterr().out.count("PASS ") == 11
+        assert walks == [8]
+        ms = {m_gamma(gog) for gog in ode_corpus()}
+        assert len(ms) == 30
+        # one miss per m of the walk, and one more for the dihedral line's
+        # theta_coeffs (m = 2), which comes after the walk's last m
+        info = counting._classes.cache_info()
+        assert info.misses == len(ms) + 1
+        assert info.currsize <= 1
