@@ -14,6 +14,7 @@ only for those.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .errors import GogSyntaxError, VfreeError
@@ -21,10 +22,6 @@ from .gog import parse_gog, serialize_gog
 from .properties import SUITES
 
 MAX_TERMS = 200
-
-
-def _frac(x) -> str:
-    return f"{x.numerator}/{x.denominator}"
 
 
 def _read(path: str) -> str:
@@ -65,10 +62,11 @@ def cmd_invariants(args) -> int:
 
     gog = parse_gog(_read(args.file))
     tv = invariants.type_vector(gog)
-    m, net = invariants._net_orders(gog)
-    mu = invariants._rank(m, net)
+    mu = invariants.free_rank(gog)
+    # chi = (1 - mu)/m in lowest terms; gcd(0, m) = m gives 0/1
+    g = math.gcd(1 - mu, tv.m)
     print(f"m={tv.m}")
-    print(f"chi={_frac(invariants._chi(net))}")
+    print(f"chi={(1 - mu) // g}/{tv.m // g}")
     for k in sorted(tv.zeta):
         print(f"zeta_{k}={tv.zeta[k]}")
     print(f"mu={mu}")
@@ -87,7 +85,7 @@ def cmd_count(args) -> int:
     g = counting.g_series(gog, n) if args.g else None
     f = counting.f_series(gog, n)
     for lam in range(1, n + 1):
-        tail = f" {_frac(g[lam])}" if g else ""
+        tail = f" {g[lam].numerator}/{g[lam].denominator}" if g else ""
         print(f"{lam} {f[lam - 1]}{tail}")
     return 0
 

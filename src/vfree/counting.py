@@ -59,24 +59,26 @@ On free rank mu <= 2 the convolution stops at l = 3 and f goes on by a
 recurrence on f alone. The convolution says F(z) = sum_{l>=1} f_l z^l =
 m z G'/G, and G solves the ODE of theta_coeffs, theta_0 G + (theta_1 z - m)
 G' + theta_2 z^2 G'' = 0 with theta_u = 0 for u > mu. With y = G'/G, so
-that G''/G = y' + y^2, the ODE is a Riccati equation for y = F/(m z),
-whose z^l coefficient reads
+that G''/G = y' + y^2, the ODE is a Riccati equation for y = F/(m z).
+theta_2 is the leading coefficient of T(x) = m(x+1) * prod_k (m x +
+k)^zeta_{gcd(m,k)}, of degree 1 + sum_k zeta_{gcd(m,k)} = 1 - m*chi = mu,
+so theta_2 = m^2 on rank 2 and 0 below it. With t = theta_1 / m, the z^l
+coefficient of the Riccati equation, divided by m, reads
 
-    m f_{l+1} = (theta_1 + theta_2 (l-1)) f_l
-                + (theta_2 / m) sum_{u=1}^{l-1} f_u f_{l-u},   l >= 1,
+    f_{l+1} = (t + m (l-1)) f_l + sum_{u=1}^{l-1} f_u f_{l-u}   on rank 2,
+    f_{l+1} = t f_l                                             below it,
 
-so a step takes ceil((l-1)/2) products of f-sized ints and one exact
-division by m, against l products and a g of D-scaled ints for the
-convolution. Only theta_1 and theta_2 are read, and neither
-needs T(j), which takes m factors: theta_2 is T's leading coefficient,
-which is m^mu, since T(x) = m(x+1) * prod_k (m x + k)^zeta_{gcd(m,k)} has
-degree 1 + sum_k zeta_{gcd(m,k)} = 1 - m*chi = mu; so theta_2 = m^2 on
-rank 2 and 0 below it. theta_1 is read off the l = 1 step, m f_2 =
-theta_1 f_1 (f_1 = theta_0 > 0 on rank >= 1; theta_1 = 0 on rank 0), and
-a theta_1 that is not an integer raises NonIntegralTheta. On rank 1
-(theta_1 = m) f stays constant, and on rank 0 it is 0 after f_1. Every
-term of the step is nonnegative, so f_{l+1} > 0 follows from f_l > 0 and
-needs no check; a remainder still raises NonIntegralCount.
+for l >= 1. A step takes ceil((l-1)/2) products of f-sized ints and no
+division, against l products and a g of D-scaled ints for the
+convolution, and no T(j), which takes m factors. t = f_2 / f_1 is read
+off the l = 1 step (f_1 = theta_0 > 0 on rank >= 1; t = 0 on rank 0). It
+is an integer on genuine data, as m divides theta_1 = T(1) - T(0): when
+zeta_m >= 0 both terms carry the factor m x + m, and on a tree
+(zeta_m = -1) the prefactor cancels it, leaving T(x) = prod_{k<m} (m x +
+k)^zeta_{gcd(m,k)}, where m + k = k (mod m) gives T(1) = T(0) (mod m). A
+t that is not an integer raises NonIntegralTheta. On rank 1 (t = 1) f
+stays constant, and on rank 0 it is 0 after f_1. Every term of the step
+is nonnegative, so f_{l+1} > 0 follows from f_l > 0 and needs no check.
 """
 
 from __future__ import annotations
@@ -115,7 +117,10 @@ def _ratio_blocks(m: int, d: int, N: int) -> tuple[int, ...]:
 def _g_ratios(m: int, net: dict[int, int], N: int) -> list[tuple[int, int]]:
     """(p_l, q_l) with g_l / g_{l-1} = p_l / q_l for l = 1..N, unreduced: the
     one statement of the term ratio. It reads the orders, never theta, and
-    not the orientation, since edge orders agree on {e, bar(e)}."""
+    not the orientation, since edge orders agree on {e, bar(e)}. g_series,
+    f_series and ode_check read their length N here: N < 0 is a ValueError."""
+    if N < 0:
+        raise ValueError(f"a series length requires N >= 0, got {N}")
     num = den = [1] * N  # rebound below, never changed in place
     for d, c in net.items():
         powers = map(pow, _ratio_blocks(m, d, N), repeat(abs(c)))
@@ -219,22 +224,20 @@ def _f(m: int, net: dict[int, int], N: int) -> list[int]:
 def _riccati(m: int, mu: int, f: list[int], N: int) -> None:
     """Extend f_1..f_3 of a type of free rank mu <= 2 to f_1..f_N in place,
     by the Riccati recurrence of the module docstring."""
-    theta2 = m * m if mu == 2 else 0
-    theta1, rem = divmod(m * f[1], f[0]) if mu else (0, 0)
+    t, rem = divmod(f[1], f[0]) if mu else (0, 0)
     if rem:
-        raise _not_integral(NonIntegralTheta, "theta_1", m * f[1], f[0])
+        raise _not_integral(NonIntegralTheta, "theta_1/m", f[1], f[0])
     for lam in range(len(f), N):
+        if mu < 2:
+            f.append(t * f[-1])
+            continue
         # sum_{u=1}^{lam-1} f_u f_{lam-u}: each product u < lam-u once,
         # doubled, and the square at u = lam/2
         h = (lam - 1) // 2
         conv = 2 * sum(map(operator.mul, f[:h], f[lam - 2 : lam - 2 - h : -1]))
         if lam % 2 == 0:
             conv += f[lam // 2 - 1] ** 2
-        val = (theta1 + theta2 * (lam - 1)) * f[-1] + theta2 // m * conv
-        n, rem = divmod(val, m)
-        if rem:
-            raise _not_integral(NonIntegralCount, f"f_{lam + 1}", val, m)
-        f.append(n)
+        f.append((t + m * (lam - 1)) * f[-1] + conv)
 
 
 def theta_coeffs(gog: GraphOfGroups, N: int | None = None) -> tuple[int, ...]:

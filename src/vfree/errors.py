@@ -2,7 +2,8 @@
 
 Every error carries a ``code`` string and a one-line message; the CLI
 prints ``str(error)``, ``Code: message``, as its one stderr line, so scripts
-can match on the code without parsing prose.
+can match on the code without parsing prose. The code is the class name,
+except for ``Error`` (the base), ``SyntaxError`` and ``Empty``.
 """
 
 # an echoed token longer than this is cut in an error message
@@ -26,6 +27,9 @@ class VfreeError(Exception):
 
     code = "Error"
 
+    def __init_subclass__(cls):
+        cls.code = cls.__dict__.get("code", cls.__name__)
+
     def __init__(self, message: str = ""):
         super().__init__(message)
         self.message = message
@@ -37,13 +41,13 @@ class VfreeError(Exception):
 # --- graph construction ---------------------------------------------------
 
 class DanglingVertexRef(VfreeError):
-    code = "DanglingVertexRef"
+    """An edge names an endpoint that is not a vertex."""
 
 
 # --- graph operations -----------------------------------------------------
 
 class UnknownRoot(VfreeError):
-    code = "UnknownRoot"
+    """A spanning tree or orientation rooted at a vertex the graph lacks."""
 
 
 # --- graph-of-groups validation / parsing ---------------------------------
@@ -56,8 +60,6 @@ class InvalidGog(VfreeError):
     """A datum that violates a graph-of-groups condition; the message names
     the vertex, edge or half-edge at fault, where a single one is."""
 
-    code = "InvalidGog"
-
 
 class EmptyGraph(InvalidGog):
     code = "Empty"
@@ -67,89 +69,83 @@ class OrderKeysMismatch(InvalidGog):
     """The keys of an order map differ from the graph's vertices or its
     geometric edges (their ``name`` half-edges)."""
 
-    code = "OrderKeysMismatch"
-
 
 class BadHalfEdgePair(InvalidGog):
     """A half-edge whose name/name~ mate is missing, or whose origin is not
     a vertex."""
 
-    code = "BadHalfEdgePair"
-
 
 class BadVertexOrder(InvalidGog):
     """A vertex order that is not a positive int (a bool is not one)."""
 
-    code = "BadVertexOrder"
-
 
 class DivisibilityViolation(InvalidGog):
-    code = "DivisibilityViolation"
+    """An edge order that does not divide the order at an endpoint."""
 
 
 class NotConnected(InvalidGog):
-    code = "NotConnected"
+    """A vertex that the first vertex cannot reach."""
 
 
 class NotNormalized(VfreeError):
-    code = "NotNormalized"
+    """A tree that does not span the datum's graph, or has a trivial edge."""
 
 
 # --- normalization --------------------------------------------------------
 
 class NotTrivial(VfreeError):
-    code = "NotTrivial"
+    """A contracted edge whose order is below the order at its terminus."""
 
 
 class NotTreeEdge(VfreeError):
-    code = "NotTreeEdge"
+    """A contracted edge off the tree, or a tree that does not span."""
 
 
 # --- invariants and counting ----------------------------------------------
 
 class NonIntegralRank(VfreeError):
-    code = "NonIntegralRank"
+    """1 - m*chi is not a nonnegative integer: corrupt orders."""
 
 
 class NonIntegralCount(VfreeError):
-    code = "NonIntegralCount"
+    """A count f_l that is not an integer: corrupt orders."""
 
 
 class NonPositiveCount(VfreeError):
-    code = "NonPositiveCount"
+    """A count f_l below 0, or 0 on free rank >= 1: corrupt orders."""
 
 
 class NonIntegralTheta(VfreeError):
-    code = "NonIntegralTheta"
+    """A theta_u, or theta_1/m, that is not an integer: corrupt orders."""
 
 
 class UnknownClass(VfreeError):
-    code = "UnknownClass"
+    """A rank-2 class label with no recurrence."""
 
 
 class MissingParam(VfreeError):
-    code = "MissingParam"
+    """A rank-2 recurrence without a parameter, or an even m, it needs."""
 
 
 class WrongRank(VfreeError):
-    code = "WrongRank"
+    """A rank-2 check given a datum of another free rank."""
 
 
 # --- classification --------------------------------------------------------
 
 class UnclassifiableShape(VfreeError):
-    code = "UnclassifiableShape"
+    """A normalized rank <= 2 datum that matches no class's shape."""
 
 
 # --- oracles ----------------------------------------------------------------
 
 class DegreeTooLarge(VfreeError):
-    code = "DegreeTooLarge"
+    """A free-group oracle rank below 1, or degree over its cap."""
 
 
 class NonExactDivision(VfreeError):
-    code = "NonExactDivision"
+    """An oracle count that does not divide exactly."""
 
 
 class TooLarge(VfreeError):
-    code = "TooLarge"
+    """An input past a size or work cap."""

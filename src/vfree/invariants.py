@@ -1,18 +1,18 @@
 """Exact invariants of a graph-of-groups datum.
 
-All arithmetic is exact: the Euler characteristic is a Fraction, everything
-else is an integer. The invariants depend on the orders only through
-m = lcm of the vertex orders (every edge order divides it) and the net
-order multiplicities c_d = #{geometric edges of order d} - #{vertices of
-order d}, which ``_net`` collapses in one pass over the orders:
+All arithmetic is in integers. The invariants depend on the orders only
+through m = lcm of the vertex orders (every edge order divides it) and the
+net order multiplicities c_d = #{geometric edges of order d} - #{vertices
+of order d}, which ``_net`` collapses in one pass over the orders:
 
 * zeta_k = sum over d | k of c_d, for each divisor k of m,
-* chi = -sum over d of c_d / d, one Fraction per distinct order,
 * mu = 1 - m*chi = 1 + sum over d of c_d * (m/d), the rank of a free
-  subgroup of index m, computed in integers from (m, c) by ``_rank``.
+  subgroup of index m, computed from (m, c) by ``_rank``,
+* chi = -sum over d of c_d / d = (1 - mu) / m, which ``vfree invariants``
+  prints off mu.
 
-Only ``_chi`` imports ``fractions``, so the rank on valid data and the
-type vector load neither it nor ``decimal``.
+Only error messages import ``fractions`` or ``decimal``, so the rank and
+the type vector load neither.
 
 Past that pass, the type vector costs O(d(m) * #distinct orders) plus the
 factorization of m. Both are capped: d(m) at _MAX_DIVISORS, and Pollard
@@ -189,13 +189,6 @@ def _net_orders(gog: GraphOfGroups) -> tuple[int, dict[int, int]]:
     return m_gamma(gog), _net(gog.vertex_order.values(), gog.edge_order.values())
 
 
-def _chi(net: dict[int, int]) -> Fraction:
-    """chi = -sum_d c_d/d from the net orders c."""
-    from fractions import Fraction  # here, so _rank on valid data never loads it
-
-    return -sum((Fraction(c, d) for d, c in net.items()), Fraction(0))
-
-
 def type_vector(gog: GraphOfGroups) -> TypeVector:
     """zeta_k = sum_{d | k} c_d for each divisor k of m."""
     m, net = _net_orders(gog)
@@ -204,19 +197,20 @@ def type_vector(gog: GraphOfGroups) -> TypeVector:
 
 
 def _rank(m: int, net: dict[int, int]) -> int:
-    """mu = 1 - m*chi = 1 + sum_d c_d*(m/d) of the type (m, c), in integers
-    when every d divides m, as it does on valid data.
-
-    Integrality and nonnegativity hold for every genuine datum; a violation
-    means the order data does not come from a graph of groups.
+    """mu = 1 - m*chi = 1 + sum_d c_d*(m/d) of the type (m, c), in integers:
+    mu*L = L + sum_d c_d*m*(L/d) with L the lcm of the orders d. It is a
+    nonnegative integer for every genuine datum, where every d divides m;
+    NonIntegralRank otherwise, as the orders come from no graph of groups.
     """
-    if all(m % d == 0 for d in net):
-        mu = 1 + sum(c * (m // d) for d, c in net.items())
-    else:  # corrupt orders only
-        mu = 1 - m * _chi(net)
-    if mu.denominator != 1 or mu < 0:
+    L = math.lcm(*net)
+    mu_L = L + sum(c * m * (L // d) for d, c in net.items())
+    mu, rem = divmod(mu_L, L)
+    if rem or mu < 0:
+        from fractions import Fraction  # only the error message needs it
+
+        mu = Fraction(mu_L, L)
         raise NonIntegralRank(f"1 - m*chi = {mu} is not a nonnegative integer")
-    return int(mu)
+    return mu
 
 
 def free_rank(gog: GraphOfGroups) -> int:

@@ -38,7 +38,7 @@ from collections.abc import Iterable, Iterator
 
 from .errors import NotNormalized, NotTreeEdge, NotTrivial, echo
 from .gog import GraphOfGroups, build_gog
-from .graph import Record, SpanningTree, _reach, spanning_tree
+from .graph import Graph, Record, SpanningTree, _reach, spanning_tree
 
 
 class NormalizedGog(Record):
@@ -54,18 +54,22 @@ class NormalizedGog(Record):
     tree: SpanningTree
 
     def __post_init__(self) -> None:
-        g, tree = self.gog.graph, self.tree
-        # a spanning tree of g is a search's first half-edges and their bars
-        first = [*_reach(g, tree.root, tree.tree_edges).values()][1:]
-        if not ((tree.graph is g or tree.graph == g) and tree.root in g.vertices
-                and len(first) == len(g.vertices) - 1
-                and tree.tree_edges == {*first, *map(g.bar, first)}):
+        if not _spans(self.tree, self.gog.graph):
             raise NotNormalized("tree is not a spanning tree of the datum's graph")
-        if (e := find_trivial_edge(self.gog, tree)) is not None:
+        if (e := find_trivial_edge(self.gog, self.tree)) is not None:
             raise NotNormalized(
                 f"tree half-edge {echo(e)} has edge order "
                 f"{self.gog.order(e)} >= terminus order"
             )
+
+
+def _spans(tree: SpanningTree, g: Graph) -> bool:
+    """Whether tree is a spanning tree of g: a search's first half-edges
+    from its root, reaching every vertex of g, and their bars."""
+    first = [*_reach(g, tree.root, tree.tree_edges).values()][1:]
+    return ((tree.graph is g or tree.graph == g) and tree.root in g.vertices
+            and len(first) == len(g.vertices) - 1
+            and tree.tree_edges == {*first, *map(g.bar, first)})
 
 
 def _trivial_edges(gog: GraphOfGroups, tree: SpanningTree) -> Iterator[str]:
@@ -138,9 +142,12 @@ def contract_edge(
     The pair {e1, bar(e1)} and the vertex t(e1) are removed; half-edges
     formerly incident to t(e1) become incident to o(e1). Orders are
     unchanged (the re-homed embeddings are compositions of embeddings).
-    The shrunken tree still spans the new graph.
+    The shrunken tree still spans the new graph. A tree that does not span
+    gog's graph, as ``NormalizedGog`` checks, or lacks e1 raises NotTreeEdge.
     """
     g = gog.graph
+    if not _spans(tree, g):
+        raise NotTreeEdge("tree is not a spanning tree of the datum's graph")
     if e1 not in tree.tree_edges:
         raise NotTreeEdge(e1)
     removed = g.terminus[e1]

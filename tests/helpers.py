@@ -31,7 +31,6 @@ from vfree.gog import GraphOfGroups
 from vfree.graph import SpanningTree, spanning_tree
 from vfree.invariants import (
     TypeVector,
-    _chi,
     _factorize,
     _net_orders,
     _rank,
@@ -96,7 +95,7 @@ def double_edge(a: int, s1: int, s2: int, b: int):
 def invariant_signature(gog: GraphOfGroups, depth: int = 0, with_g: bool = False):
     """The order-determined invariants, optionally with a counting prefix."""
     tv = type_vector(gog)
-    sig = (m_gamma(gog), _chi(_net_orders(gog)[1]), tv.m,
+    sig = (m_gamma(gog), euler_char_direct(gog), tv.m,
            tuple(sorted(tv.zeta.items())), free_rank(gog))
     if depth:
         sig = sig + (tuple(f_series(gog, depth)),)
@@ -109,7 +108,8 @@ def invariant_signature(gog: GraphOfGroups, depth: int = 0, with_g: bool = False
 
 def euler_char_direct(gog: GraphOfGroups) -> Fraction:
     """sum(1/|G_v|) - sum(1/|G_e|), one Fraction per vertex and geometric
-    edge. The reference for ``_chi``, which sums over distinct orders."""
+    edge. The reference for the ``vfree invariants`` chi line, which reads
+    chi = (1 - mu)/m off the free rank."""
     chi = Fraction(0)
     for v in gog.graph.vertices:
         chi += Fraction(1, gog.vertex_order[v])
@@ -183,11 +183,10 @@ def type_vector_direct(gog: GraphOfGroups) -> TypeVector:
 
 
 def assert_invariants_direct(gog: GraphOfGroups) -> None:
-    """chi, type_vector and free_rank equal the direct formulas."""
-    chi = euler_char_direct(gog)
-    assert _chi(_net_orders(gog)[1]) == chi
+    """type_vector and free_rank equal the direct formulas, the rank
+    through chi."""
     assert type_vector(gog) == type_vector_direct(gog)
-    assert free_rank(gog) == 1 - m_gamma(gog) * chi
+    assert free_rank(gog) == 1 - m_gamma(gog) * euler_char_direct(gog)
 
 
 # --- reference closed form -------------------------------------------------------

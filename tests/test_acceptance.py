@@ -28,8 +28,6 @@ from vfree.classify import Label, _walk, classify, largeness_report
 from vfree.counting import f_series, f_series_rank2, g_series
 from vfree.graph import spanning_tree
 from vfree.invariants import (
-    _chi,
-    _net_orders,
     free_rank,
     type_vector,
 )
@@ -205,7 +203,7 @@ def test_criterion_10_largeness_equivalence(random_corpus, normalized_corpus):
         assert rep.chi_negative == rep.rank_ge_2 == rep.structural_vii
         # against the three-case rule on the graph and the Fraction chi
         assert rep.structural_vii == structural_vii_direct(ngog)
-        assert rep.chi_negative == (_chi(_net_orders(gog)[1]) < 0)
+        assert rep.chi_negative == (euler_char_direct(gog) < 0)
         assert rep.f_strictly_increasing_prefix == (free_rank(gog) >= 2)
     report(10, f"largeness criteria equivalent on all {RANDOM_COUNT} data")
 

@@ -11,6 +11,7 @@ from helpers import (
     dihedral,
     distinguish_rank1,
     double_edge,
+    euler_char_direct,
     free_bouquet,
     hnn_loop,
     seeded_random_data,
@@ -33,7 +34,6 @@ from vfree.counting import f_series, f_series_rank2
 from vfree.errors import UnclassifiableShape, WrongRank
 from vfree.gog import build_gog
 from vfree.invariants import (
-    _chi,
     _net_orders,
     divisors,
     free_rank,
@@ -331,7 +331,7 @@ class TestLargeness:
             assert ngog.gog == gog
             rep = largeness_report(ngog, 2)
             assert rep.structural_vii == structural_vii_direct(ngog)
-            assert rep.chi_negative == (_chi(_net_orders(gog)[1]) < 0)
+            assert rep.chi_negative == (euler_char_direct(gog) < 0)
             seen[rep.structural_vii] += 1
         # 12 bare vertices, 12 full loops and 6 segments of indices (2, 2)
         assert seen == {True: 2242, False: 30}
@@ -384,4 +384,4 @@ class TestDistinguishRank1:
 class TestEulerCrossCheck:
     def test_chi_negative_iff_rank_at_least_two_on_shapes(self):
         for gog in exhaustive_rank2_shapes(8):
-            assert (_chi(_net_orders(gog)[1]) < 0) == (free_rank(gog) >= 2)
+            assert (euler_char_direct(gog) < 0) == (free_rank(gog) >= 2)

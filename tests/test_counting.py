@@ -304,6 +304,33 @@ class TestScale:
         assert f_series(BIG, 1) == f_series_fractions(BIG, 1)
 
 
+class TestLength:
+    """g_series, f_series and ode_check read their length in _g_ratios,
+    which rejects N < 0; N = 0 is the empty prefix."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda gog: g_series(gog, -1),
+            lambda gog: f_series(gog, -1),
+            lambda gog: ode_check(gog, theta_coeffs(gog, 1), -1),
+        ],
+        ids=["g_series", "f_series", "ode_check"],
+    )
+    @pytest.mark.parametrize(
+        "gog", [segment(4, 2, 2), dihedral(), c2_star_c3(), BIG],
+        ids=["rank-0", "rank-1", "rank-2", "big"],
+    )
+    def test_negative_length_raises(self, call, gog):
+        with pytest.raises(ValueError) as exc:
+            call(gog)
+        assert str(exc.value) == "a series length requires N >= 0, got -1"
+
+    def test_zero_length(self):
+        # g_series and f_series at N = 0 are pinned in TestGSeries and TestScale
+        assert ode_check(BIG, theta_coeffs(BIG, 1), 0)
+
+
 def low_rank_shapes(order_bound):
     """(type key, datum, m, mu) for each corpus shape of free rank <= 2 with
     orders <= order_bound."""
@@ -334,6 +361,24 @@ class TestRiccati:
         assert {mu for _, mu in types.values()} == {0, 1, 2}
         for gog, _ in types.values():
             assert f_series(gog, 60) == f_series_fractions(gog, 60)
+
+    def test_m_divides_theta_1(self):
+        # the step's t = theta_1 / m is an integer on every type of rank >= 1
+        rows = oracle._shape_data(12)
+        types = [properties._key_type(properties._row_key(*row)) for row in rows]
+        types += map(invariants._net_orders, seeded_random_data(37, 100))
+        checked = set()
+        for m, c in types:
+            if invariants._rank(m, c) >= 1:
+                assert counting._theta(m, c, 2)[1] % m == 0
+                checked.add((m, frozenset(c.items())))
+        assert len(checked) == 1190  # 1,139 shape types, 51 more at random
+
+    def test_f_1_divides_f_2(self):
+        # t = f_2 / f_1, read off the convolution's first two counts
+        for _, gog, _, _ in low_rank_shapes(12):
+            f = f_series(gog, 2)
+            assert f[1] % f[0] == 0
 
     @pytest.mark.parametrize("name", sorted(RANK2_INPUTS))
     def test_benchmark_rank2_inputs_match_fraction_reference(self, name):
@@ -385,11 +430,11 @@ class TestRiccati:
         [
             # f_1 = 3, f_2 = 4 on m = 4
             ("c2c4.gog", (25, 24), NonIntegralTheta,
-             "NonIntegralTheta: theta_1 = 16/3 is not an integer"),
-            # f_1 = 20 on m = 12: theta_1 = 3 f_2 / 5 is an integer, but
-            # theta_1 f_3 is not a multiple of m
-            ("am64.gog", (29, 24), NonIntegralCount,
-             "NonIntegralCount: f_4 = 172185/4 is not an integer"),
+             "NonIntegralTheta: theta_1/m = 4/3 is not an integer"),
+            # f_1 = 20, f_2 = 15 on m = 12: theta_1 = 3 f_2 / 5 is an
+            # integer, but not a multiple of m
+            ("am64.gog", (29, 24), NonIntegralTheta,
+             "NonIntegralTheta: theta_1/m = 3/4 is not an integer"),
         ],
         ids=["theta", "step"],
     )

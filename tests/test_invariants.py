@@ -18,16 +18,14 @@ from helpers import (
     small_gogs,
     totient,
 )
-from vfree import invariants
+from vfree import cli, invariants
 from vfree.errors import NonIntegralRank, TooLarge
-from vfree.gog import build_gog
+from vfree.gog import build_gog, serialize_gog
 from vfree.invariants import (
     _MR_BASES,
     _MR_LIMIT,
-    _chi,
     _factorize,
     _is_prime,
-    _net_orders,
     divisors,
     free_rank,
     m_gamma,
@@ -243,15 +241,44 @@ class TestMGamma:
         assert m_gamma(free_bouquet(2)) == 1
 
 
+@pytest.fixture
+def chi_mu(tmp_path, capsys):
+    """The chi= and mu= values that `vfree invariants` prints for a datum."""
+    path = tmp_path / "datum.gog"
+
+    def run(gog):
+        path.write_text(serialize_gog(gog))
+        assert cli.main(["invariants", str(path)]) == 0
+        out = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
+        return out["chi"], out["mu"]
+
+    return run
+
+
 class TestEulerChar:
-    def test_dihedral_zero(self):
-        assert _chi(_net_orders(dihedral())[1]) == 0
+    """The chi line, which reads chi = (1 - mu)/m off the free rank."""
 
-    def test_c2_star_c3(self):
-        assert _chi(_net_orders(c2_star_c3())[1]) == Fraction(-1, 6)
+    def test_dihedral_zero(self, chi_mu):
+        assert chi_mu(dihedral()) == ("0/1", "1")
 
-    def test_free_rank_two(self):
-        assert _chi(_net_orders(free_bouquet(2))[1]) == -1
+    def test_c2_star_c3(self, chi_mu):
+        assert chi_mu(c2_star_c3()) == ("-1/6", "2")
+
+    def test_free_rank_two(self, chi_mu):
+        assert chi_mu(free_bouquet(2)) == ("-1/1", "2")
+
+    def test_positive(self, chi_mu):
+        # C4 *_C2 C2 is C4, finite: chi = 1/4 + 1/2 - 1/2
+        assert chi_mu(segment(4, 2, 2)) == ("1/4", "0")
+
+    def test_matches_direct_sum_on_random_data(self, chi_mu):
+        ranks = set()
+        for gog in seeded_random_data(11, 100):
+            chi, mu = chi_mu(gog)
+            direct = euler_char_direct(gog)
+            assert chi == f"{direct.numerator}/{direct.denominator}"
+            ranks.add(int(mu))
+        assert {0, 1, 2} < ranks
 
 
 class TestTypeVector:

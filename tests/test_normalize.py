@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 
 from helpers import (
+    c2_star_c3,
     dihedral,
     invariant_signature,
     normalize_by_steps,
@@ -12,7 +13,7 @@ from helpers import (
 )
 from vfree.errors import NotTreeEdge, NotTrivial
 from vfree.gog import build_gog, serialize_gog
-from vfree.graph import spanning_tree
+from vfree.graph import SpanningTree, spanning_tree
 from vfree.normalize import (
     ContractionStep,
     contract_edge,
@@ -95,6 +96,28 @@ class TestContractEdge:
         )
         with pytest.raises(NotTreeEdge):
             contract_edge(gog, tree, "e")
+
+    @pytest.mark.parametrize(
+        "gog, make_tree, edge",
+        [
+            # a tree of another graph, whose half-edge t is trivial there
+            (c2_star_c3(),
+             lambda g: spanning_tree(
+                 build_gog({"x": 4, "y": 2}, [("t", "x", "y", 2)]).graph, "x"),
+             "t"),
+            # {s, s~} is trivial but reaches only a and b of a, b, c
+            (build_gog({"a": 2, "b": 2, "c": 2},
+                       [("s", "a", "b", 2), ("u", "b", "c", 1)]),
+             lambda g: SpanningTree(g, frozenset({"s", "s~"}), "a"),
+             "s"),
+        ],
+        ids=["other-graph", "not-spanning"],
+    )
+    def test_tree_that_does_not_span_raises(self, gog, make_tree, edge):
+        # NormalizedGog's check, with its message
+        with pytest.raises(NotTreeEdge) as exc:
+            contract_edge(gog, make_tree(gog.graph), edge)
+        assert exc.value.message == "tree is not a spanning tree of the datum's graph"
 
 
 class TestNormalize:

@@ -41,9 +41,9 @@ print(json.dumps(sorted(m for m in watched if m in sys.modules)))
 BASE = ["vfree", "vfree.cli", "vfree.errors", "vfree.gog", "vfree.graph", "vfree.properties"]
 
 
-# the subcommands that print chi or g, the only users of `fractions` (which
-# imports `decimal`); f is an int series and builds no Fraction
-FRACTIONS = {"invariants", "count --g"}
+# the one subcommand that prints g, the only user of `fractions` (which
+# imports `decimal`); chi is read off mu and f is an int series
+FRACTIONS = {"count --g"}
 
 
 @pytest.mark.parametrize(
